@@ -24,7 +24,7 @@ def main():
     g = path_graph(5)
     inst = ds_to_hyperplane_cover(g, 2)
     print(f"dominating-set instance: {len(inst.cloud.records)} points in R^{inst.dim}")
-    sol = solve_cover(inst.cloud, 2, strategy="partition")
+    sol = solve_cover(inst.cloud, 2)
     print(f"cover with k=2: {'YES' if sol else 'NO'}")
     if sol:
         ds = cover_to_dominating_set(inst, sol.hyperplanes)

@@ -24,7 +24,7 @@ from .clustering import (
     solve_heuristic,
 )
 from .cover import solve_cover, solve_cover_kernelized
-from .errors import GuardLimitError
+from .errors import FlatcoverError, GuardLimitError
 from .fitting import best_fit_flat
 from .generators import (
     matching_color_graph,
@@ -129,7 +129,7 @@ def cmd_cover(args) -> int:
     if args.kernel:
         sol = solve_cover_kernelized(cloud, args.k, guard=args.guard)
     else:
-        sol = solve_cover(cloud, args.k, strategy=args.strategy, guard=args.guard)
+        sol = solve_cover(cloud, args.k, guard=args.guard)
     if sol is None:
         payload = {"kind": "cover", "k": args.k, "answer": "NO"}
         _write_output(args, payload, "cover", [args.input], None, t0)
@@ -334,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--kernel", action="store_true",
                    help="apply the d=2 forced-line kernel first")
-    p.add_argument("--strategy", choices=("auto", "candidates", "partition"),
-                   default="auto")
     common(p)
     p.set_defaults(func=cmd_cover)
 
@@ -406,7 +404,7 @@ def main(argv=None) -> int:
     except GuardLimitError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError) as exc:
+    except (FlatcoverError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,33 +4,32 @@ Everything here runs in exact rational arithmetic; membership is equation
 evaluation with an exact zero test.  Float clouds are rejected because a
 zero-budget cover is meaningless under roundoff.
 
-Two complete search strategies are provided:
+The search is a depth-first assignment of positions to at most k slots,
+tracking each slot's affine hull exactly; a slot stays feasible while its
+hull has dimension at most d-1.  Points inside a slot's current hull are
+absorbed without branching (dominance), so the branch tree is bounded by
+the total hull-dimension budget k*d.  When the remaining positions fit in
+the free hull capacity, the first branch is the greedy completion, which
+cannot fail, so no separate terminal rule is needed.
 
-* ``candidates`` - generate every hyperplane spanned by an affinely
-  independent subset of at most d distinct positions, then branch over
-  candidates containing the lowest-index uncovered position (largest covered
-  set first).  A terminal rule answers YES outright when at most k*d
-  positions remain, since any d points of R^d share a hyperplane.
-* ``partition`` - depth-first assignment of positions to at most k slots,
-  tracking each slot's affine hull exactly; a slot stays feasible while its
-  hull has dimension at most d-1.  Points inside a slot's current hull are
-  absorbed without branching (dominance), so the branch tree is bounded by
-  the total hull-dimension budget k*d.  This is the strategy that scales to
-  the Vandermonde-style instances where candidate enumeration is hopeless.
-
-Both return identical answers; ``auto`` picks by instance size.
+``generate_candidates`` enumerates every hyperplane spanned by at most d
+positions; it is kept as the reference oracle the tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatchError, GuardLimitError, ScalarModeError
-from .fitting import fit_hyperplane_exact
+from .errors import (
+    AffineDependenceError,
+    DimensionMismatchError,
+    GuardLimitError,
+    IntegrityError,
+    ScalarModeError,
+)
+from .fitting import echelon_row, fit_hyperplane_exact, integer_points, reduce_row
 from .geometry import (
     MODE_RATIONAL,
     CoverSolution,
@@ -38,10 +37,6 @@ from .geometry import (
     WeightedPointCloud,
 )
 from .util import DEFAULT_CANDIDATE_GUARD, resolve_guard
-
-# Above this many size-<=d subsets the auto strategy abandons candidate
-# enumeration in favour of the partition search.
-AUTO_CANDIDATE_LIMIT = 200_000
 
 # Node cap for the partition search; exceeding it raises, never degrades.
 PARTITION_NODE_GUARD = 10**7
@@ -94,10 +89,10 @@ def generate_candidates(cloud: WeightedPointCloud,
     seen: dict[tuple, Hyperplane] = {}
     for size in range(1, min(d, n) + 1):
         for subset in itertools.combinations(range(n), size):
-            pts = [positions[i] for i in subset]
-            if not _affinely_independent(pts):
+            try:
+                h = fit_hyperplane_exact([positions[i] for i in subset])
+            except AffineDependenceError:
                 continue
-            h = fit_hyperplane_exact(pts)
             seen.setdefault(h.coeffs, h)
     out = []
     for h in seen.values():
@@ -108,56 +103,13 @@ def generate_candidates(cloud: WeightedPointCloud,
     return out
 
 
-def _affinely_independent(points) -> bool:
-    rows: list[list[Fraction]] = []
-    base = points[0]
-    for p in points[1:]:
-        v = [Fraction(a) - Fraction(b) for a, b in zip(p, base)]
-        for row in rows:
-            piv = next(i for i, c in enumerate(row) if c != 0)
-            if v[piv]:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if not any(v):
-            return False
-        rows.append(v)
-    return True
-
-
-def _max_independent_subset(positions: list) -> list:
-    """Indices of a maximal affinely independent subset, greedy in order."""
-    rows: list[list[Fraction]] = []
-    picked = [0]
-    base = positions[0]
-    for i, p in enumerate(positions[1:], start=1):
-        v = [Fraction(a) - Fraction(b) for a, b in zip(p, base)]
-        for row in rows:
-            piv = next(j for j, c in enumerate(row) if c != 0)
-            if v[piv]:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
-            rows.append(v)
-            picked.append(i)
-    return picked
-
-
-def _batch_cover(positions: list, d: int) -> list[Hyperplane]:
-    """One hyperplane per group of <= d positions; always succeeds."""
-    out = []
-    for start in range(0, len(positions), d):
-        group = positions[start:start + d]
-        picked = _max_independent_subset(group)
-        out.append(fit_hyperplane_exact([group[i] for i in picked]))
-    return out
-
-
-def solve_cover(cloud: WeightedPointCloud, k: int, *, strategy: str = "auto",
+def solve_cover(cloud: WeightedPointCloud, k: int, *,
                 guard: int | None = None) -> Optional[CoverSolution]:
     """Cover all positions with at most k hyperplanes, or None if impossible.
 
     A None answer carries the full guarantee that no k hyperplanes cover:
-    both strategies explore their search space exhaustively.
+    the search explores its space exhaustively.  ``guard`` caps the nodes it
+    may visit; exceeding it raises GuardLimitError.
     """
     _require_rational(cloud, "solve_cover")
     if k < 0:
@@ -167,98 +119,20 @@ def solve_cover(cloud: WeightedPointCloud, k: int, *, strategy: str = "auto",
         return CoverSolution(())
     if k == 0:
         return None
-    d = cloud.dim
-    if strategy == "auto":
-        strategy = "candidates" if len(positions) ** d <= AUTO_CANDIDATE_LIMIT \
-            else "partition"
-    if strategy == "candidates":
-        planes = _solve_candidates(cloud, positions, k, guard)
-    elif strategy == "partition":
-        planes = _solve_partition(positions, d, k, guard)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    planes = _solve_partition(positions, cloud.dim, k, guard)
     if planes is None:
         return None
-    assert verify_cover(cloud, planes)
+    if not verify_cover(cloud, planes):
+        raise IntegrityError("cover search returned hyperplanes that miss a point")
     return CoverSolution(tuple(planes))
-
-
-# ---------------------------------------------------------------------------
-# candidate branching
-
-
-def _solve_candidates(cloud, positions, k, guard):
-    d = cloud.dim
-    n = len(positions)
-    if n <= k * d:
-        return _batch_cover(positions, d)
-    cands = generate_candidates(cloud, guard)
-    pos_index = {p: i for i, p in enumerate(positions)}
-    entries = []
-    for c in cands:
-        mask = 0
-        for i in c.covered:
-            mask |= 1 << pos_index[cloud.records[i].coords]
-        entries.append((mask, c.hyperplane))
-    # Largest covered set first, coefficient order as the deterministic tie-break.
-    entries.sort(key=lambda e: (-e[0].bit_count(), e[1].coeffs))
-    full = (1 << n) - 1
-
-    def rec(covered, budget):
-        uncovered = full & ~covered
-        if uncovered == 0:
-            return []
-        if budget == 0:
-            return None
-        remaining = uncovered.bit_count()
-        if remaining <= budget * d:
-            rest = [positions[i] for i in range(n) if uncovered >> i & 1]
-            return _batch_cover(rest, d)
-        q = (uncovered & -uncovered).bit_length() - 1
-        for mask, plane in entries:
-            if mask >> q & 1:
-                sub = rec(covered | mask, budget - 1)
-                if sub is not None:
-                    return [plane] + sub
-        return None
-
-    return rec(0, k)
 
 
 # ---------------------------------------------------------------------------
 # partition search
 
 
-def _scale_to_int(positions):
-    lcm = 1
-    for p in positions:
-        for c in p:
-            den = Fraction(c).denominator
-            lcm = lcm * den // math.gcd(lcm, den)
-    return [tuple(int(Fraction(c) * lcm) for c in p) for p in positions]
-
-
-def _reduce_row(v, rows):
-    """Fraction-free reduction of integer vector v against echelon rows."""
-    v = list(v)
-    for piv, row in rows:
-        if v[piv]:
-            a, b = row[piv], v[piv]
-            v = [x * a - y * b for x, y in zip(v, row)]
-    return v
-
-
-def _normalize_row(v):
-    g = 0
-    for c in v:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        v = [c // g for c in v]
-    return v
-
-
 def _solve_partition(positions, d, k, guard):
-    pts = _scale_to_int(positions)
+    pts = integer_points(positions)
     n = len(pts)
     cap = resolve_guard(PARTITION_NODE_GUARD, guard)
     nodes = 0
@@ -277,18 +151,15 @@ def _solve_partition(positions, d, k, guard):
             return slots
         x = pts[i]
         residuals = []
-        for j, (base, rows, reps) in enumerate(slots):
-            diff = [a - b for a, b in zip(x, pts[base])]
-            v = _reduce_row(diff, rows)
+        for base, rows, reps in slots:
+            v = reduce_row([a - b for a, b in zip(x, pts[base])], rows)
             if not any(v):
                 # Inside this slot's hull: absorbing it is dominant.
                 return search(i + 1, slots)
             residuals.append(v)
         for j, (base, rows, reps) in enumerate(slots):
             if len(rows) < d - 1:
-                v = _normalize_row(residuals[j])
-                piv = next(t for t, c in enumerate(v) if c)
-                new_slot = (base, rows + ((piv, tuple(v)),), reps + (i,))
+                new_slot = (base, rows + (echelon_row(residuals[j]),), reps + (i,))
                 result = search(i + 1, slots[:j] + (new_slot,) + slots[j + 1:])
                 if result is not None:
                     return result

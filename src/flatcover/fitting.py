@@ -10,6 +10,7 @@ is the right trade-off here because d is small in every use case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -56,17 +57,6 @@ def centroid(cloud: WeightedPointCloud):
         for i, c in enumerate(rec.coords):
             acc[i] += rec.mult * Fraction(c)
     return tuple(a / total for a in acc)
-
-
-def scatter_matrix(cloud: WeightedPointCloud) -> np.ndarray:
-    """Weighted scatter sum_i m_i (x_i - C)(x_i - C)^T, float mode only."""
-    if cloud.mode != MODE_FLOAT:
-        raise ScalarModeError("scatter_matrix requires a float-mode cloud")
-    X = cloud.coords_array()
-    w = cloud.weights_array()
-    C = (w @ X) / w.sum()
-    D = X - C
-    return (D * w[:, None]).T @ D
 
 
 def _sorted_eig(S: np.ndarray):
@@ -117,27 +107,43 @@ def best_fit_flat(cloud: WeightedPointCloud, r: int) -> FitResult:
     return FitResult(flat=flat, cost=max(cost, 0.0), spectrum=tuple(evals))
 
 
-def _affine_rank_rows(points: Sequence[Sequence[Fraction]]
-                      ) -> list[list[Fraction]]:
-    """Row-echelon basis of the difference space of the given points."""
-    base = points[0]
-    rows: list[list[Fraction]] = []
-    for p in points[1:]:
-        v = [Fraction(a) - Fraction(b) for a, b in zip(p, base)]
-        v = _reduce_against(v, rows)
-        if any(v):
-            rows.append(v)
-    return rows
+# ---------------------------------------------------------------------------
+# fraction-free integer echelon form
+#
+# Every exact span computation (hyperplane fits here, slot hulls in the cover
+# search) scales its points to integers once and keeps a basis of direction
+# rows as (pivot, row) pairs.  A row is zero at the pivots of all rows added
+# before it, so reducing against the rows in order clears every pivot.
 
 
-def _reduce_against(v: list, rows: list[list]) -> list:
-    v = list(v)
-    for row in rows:
-        pivot = next(i for i, c in enumerate(row) if c != 0)
-        if v[pivot] != 0:
-            f = v[pivot] / row[pivot]
-            v = [a - f * b for a, b in zip(v, row)]
+def integer_points(points: Sequence[Sequence]) -> list[tuple]:
+    """Rational points scaled by the lcm of all coordinate denominators."""
+    lcm = 1
+    for p in points:
+        for c in p:
+            den = Fraction(c).denominator
+            lcm = lcm * den // math.gcd(lcm, den)
+    return [tuple(int(Fraction(c) * lcm) for c in p) for p in points]
+
+
+def reduce_row(v: Sequence[int], rows: Sequence[tuple]) -> Sequence[int]:
+    """Reduce integer vector v against (pivot, row) rows without division.
+
+    The result is zero at every pivot, and all zero exactly when v lies in
+    the span of the rows.
+    """
+    for piv, row in rows:
+        if v[piv]:
+            a, b = row[piv], v[piv]
+            v = [x * a - y * b for x, y in zip(v, row)]
     return v
+
+
+def echelon_row(v: Sequence[int]) -> tuple:
+    """A nonzero reduced vector as a new (pivot, row) pair with coprime entries."""
+    g = math.gcd(*v)
+    piv = next(i for i, c in enumerate(v) if c)
+    return piv, tuple(c // g for c in v)
 
 
 def fit_hyperplane_exact(points: Sequence[Sequence]) -> Hyperplane:
@@ -153,52 +159,36 @@ def fit_hyperplane_exact(points: Sequence[Sequence]) -> Hyperplane:
     for p in points:
         if any(isinstance(c, float) for c in p):
             raise ScalarModeError("fit_hyperplane_exact requires exact coordinates")
-    pts = [tuple(Fraction(c) if not isinstance(c, Fraction) else c for c in p)
-           for p in points]
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
+    d = len(points[0])
+    if any(len(p) != d for p in points):
         raise DimensionMismatchError("points of mixed dimension")
-    if len(pts) > d:
+    if len(points) > d:
         raise ValueError(f"at most d={d} points may be supplied")
-    rows = _affine_rank_rows(pts)
-    if len(rows) != len(pts) - 1:
-        raise AffineDependenceError("points are affinely dependent")
+    pts = integer_points(points)
+    base = pts[0]
+    rows: list[tuple] = []
+    for p in pts[1:]:
+        v = reduce_row([a - b for a, b in zip(p, base)], rows)
+        if not any(v):
+            raise AffineDependenceError("points are affinely dependent")
+        rows.append(echelon_row(v))
     for i in range(d):
         if len(rows) == d - 1:
             break
-        e = [Fraction(0)] * d
-        e[i] = Fraction(1)
-        v = _reduce_against(e, rows)
+        v = reduce_row([int(j == i) for j in range(d)], rows)
         if any(v):
-            rows.append(v)
-    # Exact null space of the (d-1) x d direction matrix.
-    normal = _null_vector(rows, d)
-    base = pts[0]
-    c0 = -sum(n * x for n, x in zip(normal, base))
-    return Hyperplane((c0, *normal))
-
-
-def _null_vector(rows: list[list[Fraction]], d: int) -> list[Fraction]:
-    """One nonzero solution of rows @ c = 0 for an echelon system of rank d-1."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    col = 0
-    for i in range(len(mat)):
-        while col < d and all(mat[k][col] == 0 for k in range(i, len(mat))):
-            col += 1
-        sel = next(k for k in range(i, len(mat)) if mat[k][col] != 0)
-        mat[i], mat[sel] = mat[sel], mat[i]
-        piv = mat[i][col]
-        mat[i] = [c / piv for c in mat[i]]
-        for k in range(len(mat)):
-            if k != i and mat[k][col] != 0:
-                f = mat[k][col]
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[i])]
-        pivots.append(col)
-        col += 1
+            rows.append(echelon_row(v))
+    # Normal vector n with row . n = 0 for all d-1 rows.  Row t is nonzero
+    # only at its own pivot, the pivots of later rows and the one free
+    # column, so walking the rows backwards fixes one pivot entry at a time;
+    # rescaling the solved entries keeps everything integral.
+    pivots = {piv for piv, _ in rows}
     free = next(j for j in range(d) if j not in pivots)
-    sol = [Fraction(0)] * d
-    sol[free] = Fraction(1)
-    for i, pc in enumerate(pivots):
-        sol[pc] = -mat[i][free]
-    return sol
+    normal = [int(j == free) for j in range(d)]
+    for piv, row in reversed(rows):
+        num = -sum(r * c for r, c in zip(row, normal))
+        g = math.gcd(num, row[piv])
+        normal = [c * (row[piv] // g) for c in normal]
+        normal[piv] = num // g
+    c0 = -sum(n * Fraction(x) for n, x in zip(normal, points[0]))
+    return Hyperplane((c0, *normal))

@@ -27,7 +27,6 @@ from .geometry import (
     parse_scalar,
 )
 from .reductions import (
-    AxisLine,
     ColoredGraph,
     RmisInstance,
     RmisParameters,
@@ -318,11 +317,3 @@ def instance_from_obj(data: dict):
         return RmisInstance(cloud=cloud, k=int(data["k"]), B=int(data["B"]),
                             params=params, tables=tables, meta=meta)
     raise ValueError(f"unknown instance kind {kind!r}")
-
-
-def lines_to_obj(lines: Sequence[AxisLine]) -> list:
-    return [{"axis": l.axis, "c": format_scalar(Fraction(l.c))} for l in lines]
-
-
-def lines_from_obj(data) -> list:
-    return [AxisLine(d["axis"], Fraction(d["c"])) for d in data]

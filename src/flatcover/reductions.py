@@ -89,9 +89,6 @@ class ColoredGraph:
             deg[v] += 1
         return deg
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def neighbors(self, v: int) -> set:
         return {u if w == v else w for u, w in self.edges if v in (u, w)}
 

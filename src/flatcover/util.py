@@ -1,4 +1,4 @@
-"""Small shared helpers: guards, RNG construction, tolerance checks."""
+"""Small shared helpers: guards, RNG construction, exact square roots."""
 
 from __future__ import annotations
 
@@ -29,7 +29,11 @@ def resolve_guard(default: int, override: int | None = None) -> int:
         return int(override)
     env = os.environ.get(GUARD_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(
+                f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from None
     return default
 
 
@@ -48,11 +52,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def rel_close(a: float, b: float, rel: float = DEFAULT_REL_TOL) -> bool:
-    scale = max(abs(a), abs(b), 1.0)
-    return abs(a - b) <= rel * scale
 
 
 def fraction_sqrt(x: Fraction) -> Fraction | None:

@@ -264,7 +264,7 @@ def test_criterion_6_ds_reduction_equivalence():
         for g in all_graphs(d, connected=True, max_degree=d - 2):
             inst = ds_to_hyperplane_cover(g, 2)
             has_ds = min_dominating_size(g, 2) is not None
-            sol = solve_cover(inst.cloud, 2, strategy="partition")
+            sol = solve_cover(inst.cloud, 2)
             assert (sol is not None) == has_ds
             if sol is not None:
                 extracted = cover_to_dominating_set(inst, sol.hyperplanes)

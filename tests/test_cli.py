@@ -98,6 +98,17 @@ def test_cluster_guard_exit_code(tmp_path):
                 "-o", str(tmp_path / "x.json")]) == 3
 
 
+def test_typed_error_exits_2_without_traceback(tmp_path, capsys):
+    # A float coordinate in a rational cloud raises ScalarModeError, a TypeError.
+    src = tmp_path / "mixed.json"
+    src.write_text(json.dumps({"dim": 2, "scalar": "rational",
+                               "points": [{"coords": ["1", 1.5], "mult": 1}]}))
+    assert run(["cover", str(src), "-k", "1", "-o", str(tmp_path / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cover_grid_yes_no(tmp_path, capsys):
     src = tmp_path / "grid.json"
     pts = [{"coords": [str(x), str(y)], "mult": 1}

@@ -24,6 +24,7 @@ from flatcover.geometry import (
     WeightedPointCloud,
     dist2_point_flat,
 )
+from flatcover.util import resolve_guard
 
 
 def fcloud(points, mults=None):
@@ -165,6 +166,12 @@ def test_guard_env_var_override(monkeypatch):
         solve_exact(cloud, 3, 1)
     monkeypatch.setenv("FLATCOVER_GUARD", str(10**9))
     solve_exact(cloud, 2, 1)  # passes under the raised cap
+
+
+def test_guard_env_var_malformed(monkeypatch):
+    monkeypatch.setenv("FLATCOVER_GUARD", "abc")
+    with pytest.raises(ValueError, match="FLATCOVER_GUARD.*'abc'"):
+        resolve_guard(10)
 
 
 def test_solve_exact_budget_decision():

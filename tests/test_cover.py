@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcover import cover
 from flatcover.cover import (
     forced_line_kernel,
     generate_candidates,
@@ -13,7 +14,7 @@ from flatcover.cover import (
     solve_cover_kernelized,
     verify_cover,
 )
-from flatcover.errors import GuardLimitError, ScalarModeError
+from flatcover.errors import GuardLimitError, IntegrityError, ScalarModeError
 from flatcover.fitting import fit_hyperplane_exact
 from flatcover.geometry import MODE_FLOAT, MODE_RATIONAL, Hyperplane, WeightedPointCloud
 
@@ -161,12 +162,14 @@ def test_cover_matches_oracle(seed, k):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_strategies_agree(seed, k):
+    # The partition search and candidate enumeration (the oracle) give the same answer.
     rng = np.random.default_rng(seed)
     pts = {tuple(int(c) for c in p) for p in rng.integers(-4, 5, size=(9, 2))}
     cloud = rcloud(pts)
-    a = solve_cover(cloud, k, strategy="candidates")
-    b = solve_cover(cloud, k, strategy="partition")
-    assert (a is None) == (b is None)
+    got = solve_cover(cloud, k)
+    assert (got is not None) == oracle_cover(cloud, k)
+    if got is not None:
+        assert verify_cover(cloud, got.hyperplanes)
 
 
 def test_cover_monotone_in_k():
@@ -192,7 +195,7 @@ def test_planted_cover_soundness():
     assert verify_cover(cloud, sol.hyperplanes)
 
 
-def test_partition_strategy_3d():
+def test_cover_3d_two_planes():
     # Two planes, z = 0 and z = 1, six points each in general position.
     pts = []
     rng = np.random.default_rng(2)
@@ -200,10 +203,31 @@ def test_partition_strategy_3d():
         for _ in range(6):
             pts.append((int(rng.integers(-9, 10)), int(rng.integers(-9, 10)), z))
     cloud = rcloud(set(pts))
-    sol = solve_cover(cloud, 2, strategy="partition")
+    sol = solve_cover(cloud, 2)
     assert sol is not None
     assert verify_cover(cloud, sol.hyperplanes)
-    assert solve_cover(cloud, 1, strategy="partition") is None
+    assert solve_cover(cloud, 1) is None
+
+
+def test_cover_node_guard():
+    # Moment-curve points: no d+1 of them lie on one hyperplane, so n = k*d
+    # points need all k slots filled to capacity.  The search reaches YES in
+    # exactly n nodes, and one node less must raise rather than answer NO.
+    for d, k in ((2, 4), (3, 3)):
+        n = k * d
+        cloud = rcloud([tuple(t ** e for e in range(1, d + 1)) for t in range(1, n + 1)])
+        sol = solve_cover(cloud, k, guard=n)
+        assert sol is not None and verify_cover(cloud, sol.hyperplanes)
+        with pytest.raises(GuardLimitError):
+            solve_cover(cloud, k, guard=n - 1)
+
+
+def test_cover_integrity_check(monkeypatch):
+    cloud = rcloud([(0, 0), (1, 1), (2, 0)])
+    miss = fit_hyperplane_exact([(0, 0), (1, 1)])
+    monkeypatch.setattr(cover, "_solve_partition", lambda *args: [miss])
+    with pytest.raises(IntegrityError):
+        solve_cover(cloud, 1)
 
 
 def test_kernel_forces_heavy_line():

@@ -201,6 +201,26 @@ def test_fit_hyperplane_contains_inputs():
         assert h.contains(p)
 
 
+def test_fit_hyperplane_rational_frames_d4():
+    # Non-integer coordinates exercise the common-denominator scaling; the
+    # coefficients are pinned, and one to three points exercise the e_i
+    # completion.
+    pts = [(Fraction(1, 2), Fraction(-3, 4), 2, Fraction(5, 3)),
+           (0, Fraction(7, 5), Fraction(-1, 6), 3),
+           (Fraction(-2, 3), 1, Fraction(1, 4), Fraction(-5, 2)),
+           (Fraction(3, 7), Fraction(-1, 2), 0, Fraction(1, 9))]
+    expected = {
+        1: (-5, 0, 0, 0, 3),
+        2: (-113, 0, 0, 24, 39),
+        3: (-10160, 0, 8180, 8130, 21),
+        4: (-165330, 897603, 409930, 119928, -129528),
+    }
+    for m, coeffs in expected.items():
+        h = fit_hyperplane_exact(pts[:m])
+        assert all(h.contains(p) for p in pts[:m])
+        assert h.coeffs == coeffs
+
+
 def test_fit_hyperplane_rejects_dependent_points():
     with pytest.raises(AffineDependenceError):
         fit_hyperplane_exact([(0, 0, 0), (1, 1, 1), (2, 2, 2)])

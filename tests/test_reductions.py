@@ -164,7 +164,7 @@ def test_ds_equivalence_on_sample_graphs():
     for g in cases:
         inst = ds_to_hyperplane_cover(g, 2)
         has_ds = min_dominating_size(g, 2) is not None
-        sol = solve_cover(inst.cloud, 2, strategy="partition")
+        sol = solve_cover(inst.cloud, 2)
         assert (sol is not None) == has_ds
         if sol is not None:
             extracted = cover_to_dominating_set(inst, sol.hyperplanes)
