@@ -96,21 +96,15 @@ def cmd_cluster(args) -> int:
     if args.heuristic:
         config = HeuristicConfig(restarts=args.restarts, max_iter=args.max_iter,
                                  rel_tol=args.tol, rng_seed=args.seed)
-        sol = solve_heuristic(cloud, args.k, args.r, config, threads=args.threads)
-        mode = "heuristic"
-        if args.budget is not None and sol.budget_decision is None:
-            sol = type(sol)(sol.flats, sol.assignment, sol.cost,
-                            budget_decision=sol.cost <= args.budget)
+        sol = solve_heuristic(cloud, args.k, args.r, config)
     else:
-        sol = solve_exact(cloud, args.k, args.r, budget=args.budget,
-                          guard=args.guard)
-        mode = "exact"
+        sol = solve_exact(cloud, args.k, args.r, guard=args.guard)
     payload = fio.clustering_solution_to_obj(sol, args.r)
     payload["kind"] = "clustering"
-    payload["mode"] = mode
+    payload["mode"] = "heuristic" if args.heuristic else "exact"
     decision = None
     if args.budget is not None:
-        decision = "YES" if sol.budget_decision else "NO"
+        decision = "YES" if sol.cost <= args.budget else "NO"
         payload["budget"] = args.budget
         payload["decision"] = decision
     _write_output(args, payload, "cluster", [args.input], args.seed, t0)
@@ -264,9 +258,6 @@ def cmd_plot(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = ["n\tconsistent_partitions\ttotal_partitions\tseconds"]
-    if args.suite != "partitions":
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
     counts = []
     for n in range(args.n_min, args.n_max + 1):
         cloud = random_cloud(n, 2, args.seed + n)
@@ -302,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("-o", "--output", default=None, help="output file")
         p.add_argument("--guard", type=int, default=None,
-                       help="enumeration cap override (also FLATCOVER_GUARD)")
+                       help="search node cap override (also FLATCOVER_GUARD)")
 
     p = sub.add_parser("fit", help="optimal single flat")
     p.add_argument("input")
@@ -316,15 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--heuristic", action="store_true")
+    p.add_argument("--heuristic", action="store_true",
+                   help="alternating heuristic instead of the exact search")
     p.add_argument("--budget", type=float, default=None)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--csv-mult", action="store_true")
     common(p)
     p.set_defaults(func=cmd_cluster)

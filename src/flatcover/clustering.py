@@ -1,11 +1,12 @@
 """Exact and heuristic solvers for k-flat clustering.
 
-The exact solver enumerates canonical set partitions of the records into at
-most k blocks and fits each block optimally; every nearest-flat-consistent
-assignment occurs among these partitions, so the minimum over them is the
-global optimum.  A branch-and-bound on accumulated block-fit cost prunes the
-enumeration without ever changing the returned solution (block fit cost is
-monotone in the block's record set).
+One depth-first search enumerates canonical set partitions of the records
+into at most k blocks, accumulating each block's optimal fit cost.  Every
+nearest-flat-consistent assignment occurs among these partitions, so the
+exact solver's cheapest partition is the global optimum; its incumbent
+bounds the search without ever changing the result (block fit cost is
+monotone in the block's record set).  Counting consistent partitions runs
+the same search unbounded.  Both are capped by the nodes visited.
 
 Records, not expanded points, are the unit of partitioning: a stack of
 duplicates always moves together, which is cost-neutral for multisets.
@@ -14,20 +15,19 @@ duplicates always moves together, which is cost-neutral for multisets.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ScalarModeError
-from .fitting import best_fit_flat
+from .errors import GuardLimitError, ScalarModeError
+from .fitting import fit_points
 from .geometry import (
     MODE_FLOAT,
     ClusteringSolution,
     WeightedPointCloud,
     dist2_point_flat,
 )
-from .util import DEFAULT_PARTITION_GUARD, make_rng, resolve_guard, check_guard
+from .util import DEFAULT_NODE_GUARD, make_rng, resolve_guard
 
 
 def stirling2(n: int, k: int) -> int:
@@ -76,9 +76,6 @@ class PartitionIterator:
 
         yield from rec(1, 1)
 
-    def __len__(self):
-        return partition_count(self.n_records, self.k)
-
 
 @dataclass(frozen=True)
 class HeuristicConfig:
@@ -103,43 +100,33 @@ def _check_solver_args(cloud: WeightedPointCloud, k: int, r: int) -> None:
         raise ValueError(f"flat dimension must satisfy 0 <= r <= d-1, got {r}")
 
 
-def _subcloud(cloud: WeightedPointCloud, idx) -> WeightedPointCloud:
-    return WeightedPointCloud(cloud.dim, cloud.mode,
-                              tuple(cloud.records[i] for i in idx))
+def _fit_blocks(X, W, labels, r) -> list:
+    """Optimal flat of each block of a restricted growth string."""
+    labels = np.asarray(labels)
+    return [fit_points(X[labels == b], W[labels == b], r)
+            for b in range(labels.max() + 1)]
 
 
-def _solution_from_labels(cloud, labels, k, r) -> ClusteringSolution:
-    used = max(labels) + 1
-    blocks = [[] for _ in range(used)]
-    for i, b in enumerate(labels):
-        blocks[b].append(i)
-    fits = [best_fit_flat(_subcloud(cloud, blk), r) for blk in blocks]
-    flats = [f.flat for f in fits]
-    while len(flats) < k:
-        flats.append(flats[0])
-    cost = float(sum(f.cost for f in fits))
-    return ClusteringSolution(tuple(flats), tuple(labels), cost)
+def _dist2(X: np.ndarray, flat) -> np.ndarray:
+    """Squared distance from every row of X to a float-mode flat."""
+    Y = X - flat.offset_array()
+    if flat.dim_flat:
+        B = flat.basis_array()
+        Y = Y - (Y @ B) @ B.T
+    return np.einsum("ij,ij->i", Y, Y)
 
 
-def solve_exact(cloud: WeightedPointCloud, k: int, r: int, budget: float | None = None,
-                *, guard: int | None = None, prune: bool = True) -> ClusteringSolution:
-    """Globally optimal k-flat clustering by canonical partition enumeration.
+def _search(X, W, k, r, guard, leaf) -> None:
+    """Depth-first search over canonical partitions into at most k blocks.
 
-    Raises GuardLimitError when the partition count exceeds the guard rather
-    than silently degrading to a heuristic.  With ``prune`` the search skips
-    branches whose accumulated block-fit cost already meets the incumbent;
-    pruned and unpruned runs return the same solution.  A ``budget`` turns on
-    decision mode: the returned optimum additionally carries
-    ``budget_decision = (cost <= budget)``.
+    Record i joins an existing block or opens the next one (restricted growth
+    strings), and per-block weight, coordinate sums and raw second moments are
+    updated in place, so each step costs one block-cost evaluation.  Every
+    complete partition goes to ``leaf(labels, total)``, which returns the
+    bound: a branch is cut once its accumulated cost reaches it.  Visiting
+    more than ``guard`` nodes raises GuardLimitError.
     """
-    _check_solver_args(cloud, k, r)
-    n = len(cloud.records)
-    d = cloud.dim
-    cap = resolve_guard(DEFAULT_PARTITION_GUARD, guard)
-    check_guard(partition_count(n, k), cap, "partition count")
-
-    X = cloud.coords_array()
-    W = cloud.weights_array()
+    n, d = X.shape
 
     # Per-block accumulators: weight, coordinate sums, raw second moments.
     bw = [0.0] * k
@@ -168,16 +155,18 @@ def solve_exact(cloud: WeightedPointCloud, k: int, r: int, budget: float | None 
         evals = np.linalg.eigvalsh(S)
         return max(float(np.sum(evals[: d - r])), 0.0)
 
-    best_total = math.inf
-    best_labels = None
+    bound = math.inf
+    nodes = 0
     labels = [0] * n
 
     def rec(i, used, total):
-        nonlocal best_total, best_labels
+        nonlocal bound, nodes
+        nodes += 1
+        if nodes > guard:
+            raise GuardLimitError(
+                f"instance too large for exact mode: partition-search nodes exceed {guard}")
         if i == n:
-            if total < best_total:
-                best_total = total
-                best_labels = tuple(labels)
+            bound = leaf(labels, total)
             return
         x = X[i]
         wt = W[i]
@@ -191,7 +180,7 @@ def solve_exact(cloud: WeightedPointCloud, k: int, r: int, budget: float | None 
             new_cost = block_cost(b)
             bcost[b] = new_cost
             new_total = total - old_cost + new_cost
-            if not (prune and new_total >= best_total):
+            if not new_total >= bound:
                 labels[i] = b
                 rec(i + 1, max(used, b + 1), new_total)
             bw[b] -= wt
@@ -206,12 +195,41 @@ def solve_exact(cloud: WeightedPointCloud, k: int, r: int, budget: float | None 
     bcost[0] = block_cost(0)
     rec(1, 1, bcost[0])
 
-    solution = _solution_from_labels(cloud, best_labels, k, r)
-    if budget is not None:
-        solution = ClusteringSolution(solution.flats, solution.assignment,
-                                      solution.cost,
-                                      budget_decision=solution.cost <= budget)
-    return solution
+
+def solve_exact(cloud: WeightedPointCloud, k: int, r: int, budget: float | None = None,
+                *, guard: int | None = None, prune: bool = True) -> ClusteringSolution:
+    """Globally optimal k-flat clustering by canonical partition enumeration.
+
+    Raises GuardLimitError when the search visits more nodes than the guard
+    rather than silently degrading to a heuristic.  With ``prune`` the search
+    skips branches whose accumulated block-fit cost already meets the
+    incumbent; pruned and unpruned runs return the same solution.  A
+    ``budget`` turns on decision mode: the returned optimum additionally
+    carries ``budget_decision = (cost <= budget)``.
+    """
+    _check_solver_args(cloud, k, r)
+    X = cloud.coords_array()
+    W = cloud.weights_array()
+    best_total = math.inf
+    best_labels = None
+
+    def leaf(labels, total):
+        nonlocal best_total, best_labels
+        if total < best_total:
+            best_total = total
+            best_labels = tuple(labels)
+        return best_total if prune else math.inf
+
+    _search(X, W, k, r, resolve_guard(DEFAULT_NODE_GUARD, guard), leaf)
+    if best_labels is None:
+        raise ValueError("no partition has a finite cost: coordinates are not finite "
+                         "or overflow float64")
+    fits = _fit_blocks(X, W, best_labels, r)
+    flats = [f.flat for f in fits]
+    flats += [flats[0]] * (k - len(flats))
+    cost = float(sum(f.cost for f in fits))
+    return ClusteringSolution(tuple(flats), best_labels, cost,
+                              budget_decision=None if budget is None else cost <= budget)
 
 
 def is_voronoi_consistent(cloud: WeightedPointCloud, solution: ClusteringSolution,
@@ -231,27 +249,22 @@ def count_consistent_partitions(cloud: WeightedPointCloud, k: int, r: int,
     A partition counts when fitting each block and re-assigning every record
     to its nearest fitted flat (ties to the lowest block index) yields the
     partition back.  Empirically measures how many of the enumerated
-    partitions are realizable as nearest-flat assignments.
+    partitions are realizable as nearest-flat assignments.  Runs the exact
+    solver's search without a bound, so the guard caps the same node count.
     """
     _check_solver_args(cloud, k, r)
-    n = len(cloud.records)
-    cap = resolve_guard(DEFAULT_PARTITION_GUARD, guard)
-    check_guard(partition_count(n, k), cap, "partition count")
+    X = cloud.coords_array()
+    W = cloud.weights_array()
     count = 0
-    for labels in PartitionIterator(n, k):
-        used = max(labels) + 1
-        blocks = [[] for _ in range(used)]
-        for i, b in enumerate(labels):
-            blocks[b].append(i)
-        flats = [best_fit_flat(_subcloud(cloud, blk), r).flat for blk in blocks]
-        ok = True
-        for i, rec in enumerate(cloud.records):
-            dists = [dist2_point_flat(rec.coords, f) for f in flats]
-            if int(np.argmin(dists)) != labels[i]:
-                ok = False
-                break
-        if ok:
-            count += 1
+
+    def leaf(labels, total):
+        nonlocal count
+        flats = [f.flat for f in _fit_blocks(X, W, labels, r)]
+        nearest = np.argmin(np.column_stack([_dist2(X, f) for f in flats]), axis=1)
+        count += bool(np.array_equal(nearest, labels))
+        return math.inf
+
+    _search(X, W, k, r, resolve_guard(DEFAULT_NODE_GUARD, guard), leaf)
     return count
 
 
@@ -260,29 +273,21 @@ def _heuristic_restart(cloud, k, r, config, stream):
     n = len(cloud.records)
     X = cloud.coords_array()
     W = cloud.weights_array()
+
+    def fit(idx):
+        return fit_points(X[idx], W[idx], r).flat
+
     m = min(r + 1, n)
-    flats = []
-    for _ in range(k):
-        idx = rng.choice(n, size=m, replace=False)
-        flats.append(best_fit_flat(_subcloud(cloud, sorted(idx)), r).flat)
-
-    def dists_to(flat):
-        Y = X - flat.offset_array()
-        if flat.dim_flat:
-            B = flat.basis_array()
-            Y = Y - (Y @ B) @ B.T
-        return np.einsum("ij,ij->i", Y, Y)
-
+    flats = [fit(sorted(rng.choice(n, size=m, replace=False))) for _ in range(k)]
     prev_cost = math.inf
-    assign = np.zeros(n, dtype=int)
     for _ in range(config.max_iter):
-        D = np.column_stack([dists_to(f) for f in flats])
+        D = np.column_stack([_dist2(X, f) for f in flats])
         assign = np.argmin(D, axis=1)  # ties resolve to the lowest flat index
         for j in range(k):
             members = np.flatnonzero(assign == j)
             if len(members):
-                flats[j] = best_fit_flat(_subcloud(cloud, members), r).flat
-        cur = np.column_stack([dists_to(f) for f in flats])
+                flats[j] = fit(members)
+        cur = np.column_stack([_dist2(X, f) for f in flats])
         resid = cur[np.arange(n), assign]
         cost = float(W @ resid)
         # Reseed empty blocks from the records with the largest current
@@ -292,7 +297,7 @@ def _heuristic_restart(cloud, k, r, config, stream):
         for j in range(k):
             if not np.any(assign == j):
                 worst = int(np.argmax(claim))
-                flats[j] = best_fit_flat(_subcloud(cloud, [worst]), r).flat
+                flats[j] = fit([worst])
                 claim[worst] = -1.0
                 reseeded = True
         converged = (not reseeded
@@ -304,21 +309,15 @@ def _heuristic_restart(cloud, k, r, config, stream):
 
 
 def solve_heuristic(cloud: WeightedPointCloud, k: int, r: int,
-                    config: HeuristicConfig = HeuristicConfig(),
-                    *, threads: int = 1) -> ClusteringSolution:
+                    config: HeuristicConfig = HeuristicConfig()) -> ClusteringSolution:
     """Alternating assign/refit heuristic with seeded restarts.
 
     Each restart draws from an independent counter-based stream and restarts
     merge by (cost, assignment lexicographic), so the result does not depend
-    on scheduling.
+    on the order in which restarts run.
     """
     _check_solver_args(cloud, k, r)
-    runs = range(config.restarts)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(
-                lambda s: _heuristic_restart(cloud, k, r, config, s), runs))
-    else:
-        results = [_heuristic_restart(cloud, k, r, config, s) for s in runs]
+    results = [_heuristic_restart(cloud, k, r, config, s)
+               for s in range(config.restarts)]
     cost, assign, flats = min(results, key=lambda res: (res[0], res[1]))
     return ClusteringSolution(flats, assign, cost)

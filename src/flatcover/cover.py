@@ -36,10 +36,7 @@ from .geometry import (
     Hyperplane,
     WeightedPointCloud,
 )
-from .util import DEFAULT_CANDIDATE_GUARD, resolve_guard
-
-# Node cap for the partition search; exceeding it raises, never degrades.
-PARTITION_NODE_GUARD = 10**7
+from .util import DEFAULT_CANDIDATE_GUARD, DEFAULT_NODE_GUARD, resolve_guard
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def solve_cover(cloud: WeightedPointCloud, k: int, *,
 def _solve_partition(positions, d, k, guard):
     pts = integer_points(positions)
     n = len(pts)
-    cap = resolve_guard(PARTITION_NODE_GUARD, guard)
+    cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
     nodes = 0
 
     # Slot state: (base_index, rows, reps) with rows a tuple of (pivot, row)

@@ -93,8 +93,15 @@ def best_fit_flat(cloud: WeightedPointCloud, r: int) -> FitResult:
     d = cloud.dim
     if not (0 <= r <= d - 1):
         raise ValueError(f"flat dimension must satisfy 0 <= r <= d-1, got r={r}, d={d}")
-    X = cloud.coords_array()
-    w = cloud.weights_array()
+    return fit_points(cloud.coords_array(), cloud.weights_array(), r)
+
+
+def fit_points(X: np.ndarray, w: np.ndarray, r: int) -> FitResult:
+    """Array core of :func:`best_fit_flat`: rows of X with weights w, unchecked.
+
+    The caller guarantees at least one row and 0 <= r < d.
+    """
+    d = X.shape[1]
     C = (w @ X) / w.sum()
     D = X - C
     S = (D * w[:, None]).T @ D

@@ -42,7 +42,10 @@ def parse_scalar(text, mode: str) -> Scalar:
             return Fraction(text)
         raise ScalarModeError(f"rational scalar must be a string or int, got {text!r}")
     if mode == MODE_FLOAT:
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"float scalars must be finite, got {text!r}")
+        return value
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 

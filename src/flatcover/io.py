@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,6 +55,8 @@ def _emit(obj, out: list):
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {obj!r} as JSON")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, dict):
         out.append("{")
@@ -110,13 +113,20 @@ def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
     return {"dim": cloud.dim, "scalar": cloud.mode, "points": pts}
 
 
+def _parse_mult(value) -> int:
+    """A multiplicity as read: 1.7 is rejected rather than truncated to 1."""
+    if isinstance(value, (int, str)) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"multiplicities must be integers, got {value!r}")
+
+
 def cloud_from_obj(data: dict) -> WeightedPointCloud:
     mode = data["scalar"]
     if mode not in (MODE_RATIONAL, MODE_FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
     records = tuple(
         PointRecord(tuple(parse_scalar(c, mode) for c in p["coords"]),
-                    int(p.get("mult", 1)))
+                    _parse_mult(p.get("mult", 1)))
         for p in data["points"])
     return WeightedPointCloud(int(data["dim"]), mode, records)
 
@@ -148,7 +158,8 @@ def cloud_from_csv(text: str, has_mult: bool = False) -> WeightedPointCloud:
             coords, mult = cells, 1
         if dim is None:
             dim = len(coords)
-        records.append(PointRecord(tuple(float(c) for c in coords), mult))
+        records.append(PointRecord(tuple(parse_scalar(c, MODE_FLOAT) for c in coords),
+                                   mult))
     if dim is None:
         raise ValueError("empty CSV input")
     return WeightedPointCloud(dim, MODE_FLOAT, tuple(records))

@@ -8,14 +8,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GuardLimitError
-
 # Default relative tolerance for float comparisons, downstream of
 # d^3-conditioned eigenproblems.
 DEFAULT_REL_TOL = 1e-9
 
-# Cap on the number of set partitions the exact clustering solver will visit.
-DEFAULT_PARTITION_GUARD = 10**8
+# Cap on the nodes an exact search (clustering partitions, cover slots) may
+# visit; exceeding it raises GuardLimitError, never degrades to a heuristic.
+DEFAULT_NODE_GUARD = 10**7
 
 # Cap on n^d for candidate-hyperplane generation.
 DEFAULT_CANDIDATE_GUARD = 10**7
@@ -35,13 +34,6 @@ def resolve_guard(default: int, override: int | None = None) -> int:
             raise ValueError(
                 f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from None
     return default
-
-
-def check_guard(size: int, cap: int, what: str) -> None:
-    if size > cap:
-        raise GuardLimitError(
-            f"instance too large for exact mode: {what} = {size} exceeds guard {cap}"
-        )
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

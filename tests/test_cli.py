@@ -109,6 +109,49 @@ def test_typed_error_exits_2_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def assert_usage_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
+def test_csv_nan_coordinate_exits_2(tmp_path, capsys):
+    src = tmp_path / "nan.csv"
+    src.write_text("0,nan\n1,1\n2,0\n")
+    assert run(["cluster", str(src), "-k", "1", "-r", "1",
+                "-o", str(tmp_path / "s.json")]) == 2
+    assert "finite" in assert_usage_error(capsys)
+
+
+def test_json_fractional_mult_exits_2(tmp_path, capsys):
+    src = tmp_path / "mult.json"
+    src.write_text(json.dumps({"dim": 2, "scalar": "float", "points": [
+        {"coords": [0.0, 0.0], "mult": 1.7}, {"coords": [1.0, 1.0], "mult": 1}]}))
+    assert run(["fit", str(src), "-r", "1", "-o", str(tmp_path / "f.json")]) == 2
+    assert "1.7" in assert_usage_error(capsys)
+
+
+def test_json_nan_coordinate_exits_2(tmp_path, capsys):
+    src = tmp_path / "nan.json"
+    src.write_text(json.dumps({"dim": 2, "scalar": "float", "points": [
+        {"coords": [float("nan"), 0.0], "mult": 1}, {"coords": [1.0, 1.0], "mult": 1}]}))
+    assert run(["fit", str(src), "-r", "1", "-o", str(tmp_path / "f.json")]) == 2
+    err = assert_usage_error(capsys)
+    assert "finite" in err and "orthonormal" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_output_exits_2(tmp_path, capsys):
+    # Finite input whose scatter overflows: the cost is nan, which JSON cannot hold.
+    src = tmp_path / "huge.csv"
+    src.write_text("1e200,0\n-1e200,1\n0,3\n")
+    out = tmp_path / "f.json"
+    assert run(["fit", str(src), "-r", "1", "-o", str(out)]) == 2
+    assert "non-finite" in assert_usage_error(capsys)
+    assert not out.exists()
+
+
 def test_cover_grid_yes_no(tmp_path, capsys):
     src = tmp_path / "grid.json"
     pts = [{"coords": [str(x), str(y)], "mult": 1}

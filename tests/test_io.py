@@ -24,6 +24,26 @@ def test_cloud_json_roundtrip_rational_bignum():
     assert back.records[1].mult == 10**30
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_canonical_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="non-finite"):
+        fio.dumps_canonical({"cost": [1.0, value]})
+
+
+def test_cloud_readers_reject_bad_values():
+    obj = {"dim": 1, "scalar": "float", "points": [{"coords": [1.0], "mult": 2.0}]}
+    assert fio.cloud_from_obj(obj).records[0].mult == 2
+    for bad in ({"coords": [float("inf")], "mult": 1}, {"coords": [1.0], "mult": 1.5},
+                {"coords": [1.0], "mult": float("inf")}):
+        with pytest.raises(ValueError):
+            fio.cloud_from_obj({"dim": 1, "scalar": "float", "points": [bad]})
+    with pytest.raises(ValueError):
+        fio.cloud_from_csv("1,-inf\n")
+    with pytest.raises(ValueError):
+        fio.cloud_from_csv("1,2,1.5\n", has_mult=True)
+    assert fio.cloud_from_csv("1,2,3\n", has_mult=True).records[0].mult == 3
+
+
 def test_cloud_json_roundtrip_float():
     cloud = random_cloud(7, 3, seed=1, max_mult=3)
     back = fio.cloud_from_obj(json.loads(fio.dumps_canonical(fio.cloud_to_obj(cloud))))
