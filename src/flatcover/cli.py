@@ -393,7 +393,10 @@ def main(argv=None) -> int:
     except GuardLimitError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 3
-    except (FlatcoverError, ValueError, OSError, KeyError) as exc:
+    except KeyError as exc:
+        print(f"error: missing field {exc.args[0]!r}", file=sys.stderr)
+        return 2
+    except (FlatcoverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

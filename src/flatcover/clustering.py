@@ -8,6 +8,14 @@ bounds the search without ever changing the result (block fit cost is
 monotone in the block's record set).  Counting consistent partitions runs
 the same search unbounded.  Both are capped by the nodes visited.
 
+Each block keeps its weight, coordinate sums and upper-triangle raw second
+moments as scalar Python floats, updated from per-record terms computed
+once.  Its cost, the sum of the d-r smallest eigenvalues of the centred
+scatter, has a closed form for d <= 3 (Smith's trigonometric eigenvalues
+for d = 3, falling back to eigvalsh where the eigenvalue needed is nearly
+repeated); larger d call eigvalsh.  The returned optimum is refitted
+through :func:`fitting.fit_points`.
+
 Records, not expanded points, are the unit of partitioning: a stack of
 duplicates always moves together, which is cost-neutral for multisets.
 """
@@ -116,44 +124,129 @@ def _dist2(X: np.ndarray, flat) -> np.ndarray:
     return np.einsum("ij,ij->i", Y, Y)
 
 
+# The d=3 closed form takes the eigenvalues of A = qI + pB from
+# h = det(B)/2 = cos(3 phi), with q = tr(A)/3 and p = ||A - qI||_F / sqrt(6).
+# Where the eigenvalue a cost needs is repeated (h = -1 for the largest,
+# h = +1 for the smallest) acos has an infinite slope and the formula keeps
+# only about sqrt(eps); within this distance of that end the block cost comes
+# from eigvalsh instead.
+TRIG_FALLBACK_BAND = 1e-4
+
+
+def _eig_cost(A: np.ndarray, r: int) -> float:
+    """Sum of the d-r smallest eigenvalues of a symmetric scatter, clamped at 0."""
+    evals = np.linalg.eigvalsh(A)
+    return max(float(np.sum(evals[: A.shape[0] - r])), 0.0)
+
+
+def _block_cost(d: int, r: int):
+    """Optimal r-flat cost of one block as ``cost(w, s, m)``.
+
+    ``w`` is the block weight, ``s`` its d coordinate sums and ``m`` its d(d+1)/2
+    raw second moments, upper triangle row by row.  The cost is the sum of the
+    d-r smallest eigenvalues of the centred scatter a_ij = m_ij - s_i s_j / w:
+    closed forms for d <= 3 (Smith's trigonometric eigenvalues for d = 3, with
+    an eigvalsh fallback near a repeated eigenvalue), eigvalsh beyond.
+    """
+    if d == 1:
+        def cost(w, s, m):
+            return max(m[0] - s[0] * s[0] / w, 0.0)
+    elif d == 2:
+        def cost(w, s, m):
+            s0, s1 = s
+            a = m[0] - s0 * s0 / w
+            b = m[2] - s1 * s1 / w
+            if r == 0:
+                return max(a + b, 0.0)
+            c = m[1] - s0 * s1 / w
+            half = 0.5 * (a + b)
+            # ``** 2`` (libm pow) rounds like the numpy form of this cost did;
+            # on a Python float it raises on overflow instead of giving inf.
+            try:
+                gap2 = (a - b) ** 2
+            except OverflowError:
+                gap2 = math.inf
+            root = math.sqrt(max(0.25 * gap2 + c * c, 0.0))
+            return max(half - root, 0.0)
+    elif d == 3:
+        # r = 1 needs the largest eigenvalue; r = 2 needs the smallest, which
+        # is minus the largest eigenvalue of -A (whose h is -h).
+        sign = 1.0 if r == 1 else -1.0
+
+        def cost(w, s, m):
+            s0, s1, s2 = s
+            a00 = m[0] - s0 * s0 / w
+            a11 = m[3] - s1 * s1 / w
+            a22 = m[5] - s2 * s2 / w
+            trace = a00 + a11 + a22
+            if r == 0:
+                return max(trace, 0.0)
+            a01 = m[1] - s0 * s1 / w
+            a02 = m[2] - s0 * s2 / w
+            a12 = m[4] - s1 * s2 / w
+            q = trace / 3.0
+            b00 = a00 - q
+            b11 = a11 - q
+            b22 = a22 - q
+            p = math.sqrt((b00 * b00 + b11 * b11 + b22 * b22
+                           + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+            if p == 0.0:  # A = qI
+                lam = q
+            else:
+                b00 /= p
+                b11 /= p
+                b22 /= p
+                c01 = a01 / p
+                c02 = a02 / p
+                c12 = a12 / p
+                g = sign * 0.5 * (b00 * (b11 * b22 - c12 * c12)
+                                  - c01 * (c01 * b22 - c12 * c02)
+                                  + c02 * (c01 * c12 - b11 * c02))
+                # Near a repeated eigenvalue, or with non-finite moments.
+                if not (g >= TRIG_FALLBACK_BAND - 1.0 and p < math.inf):
+                    A = np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]])
+                    return _eig_cost(A, r)
+                lam = q + sign * 2.0 * p * math.cos(math.acos(min(g, 1.0)) / 3.0)
+            return max(trace - lam if r == 1 else lam, 0.0)
+    else:
+        rows, cols = np.triu_indices(d)
+
+        def cost(w, s, m):
+            M = np.empty((d, d))
+            M[rows, cols] = m
+            M[cols, rows] = m
+            return _eig_cost(M - np.outer(s, s) / w, r)
+    return cost
+
+
 def _search(X, W, k, r, guard, leaf) -> None:
     """Depth-first search over canonical partitions into at most k blocks.
 
     Record i joins an existing block or opens the next one (restricted growth
-    strings), and per-block weight, coordinate sums and raw second moments are
-    updated in place, so each step costs one block-cost evaluation.  Every
-    complete partition goes to ``leaf(labels, total)``, which returns the
-    bound: a branch is cut once its accumulated cost reaches it.  Visiting
-    more than ``guard`` nodes raises GuardLimitError.
+    strings).  Each block keeps its weight, coordinate sums and raw second
+    moments as plain floats, updated in place from per-record terms computed
+    once, so each step costs a few float additions and one block-cost
+    evaluation.  Every complete partition goes to ``leaf(labels, total)``,
+    which returns the bound: a branch is cut once its accumulated cost
+    reaches it.  Visiting more than ``guard`` nodes raises GuardLimitError.
     """
     n, d = X.shape
+    cost = _block_cost(d, r)
+    rows, cols = (idx.tolist() for idx in np.triu_indices(d))
+    dims = range(d)
+    pairs = range(len(rows))
+    # Per-record terms in the operation order of ``wt * x`` and
+    # ``np.outer(x, x) * wt``.
+    ws = W.tolist()
+    xs = X.tolist()
+    rs = [[wt * x[a] for a in dims] for x, wt in zip(xs, ws)]
+    rm = [[(x[a] * x[b]) * wt for a, b in zip(rows, cols)] for x, wt in zip(xs, ws)]
 
     # Per-block accumulators: weight, coordinate sums, raw second moments.
     bw = [0.0] * k
-    bs = [np.zeros(d) for _ in range(k)]
-    bm = [np.zeros((d, d)) for _ in range(k)]
+    bs = [[0.0] * d for _ in range(k)]
+    bm = [[0.0] * len(rows) for _ in range(k)]
     bcost = [0.0] * k
-
-    two_d = d == 2 and r in (0, 1)
-
-    def block_cost(j):
-        w = bw[j]
-        if w == 0.0:
-            return 0.0
-        if two_d:
-            s = bs[j]
-            m = bm[j]
-            a = m[0, 0] - s[0] * s[0] / w
-            b = m[1, 1] - s[1] * s[1] / w
-            if r == 0:
-                return max(a + b, 0.0)
-            c = m[0, 1] - s[0] * s[1] / w
-            half = 0.5 * (a + b)
-            root = math.sqrt(max(0.25 * (a - b) ** 2 + c * c, 0.0))
-            return max(half - root, 0.0)
-        S = bm[j] - np.outer(bs[j], bs[j]) / w
-        evals = np.linalg.eigvalsh(S)
-        return max(float(np.sum(evals[: d - r])), 0.0)
 
     bound = math.inf
     nodes = 0
@@ -168,31 +261,37 @@ def _search(X, W, k, r, guard, leaf) -> None:
         if i == n:
             bound = leaf(labels, total)
             return
-        x = X[i]
-        wt = W[i]
-        outer = np.outer(x, x) * wt
+        wt = ws[i]
+        sx = rs[i]
+        mx = rm[i]
         top = used + 1 if used < k else used
         for b in range(top):
+            s = bs[b]
+            m = bm[b]
             old_cost = bcost[b]
             bw[b] += wt
-            bs[b] += wt * x
-            bm[b] += outer
-            new_cost = block_cost(b)
+            for a in dims:
+                s[a] += sx[a]
+            for t in pairs:
+                m[t] += mx[t]
+            new_cost = cost(bw[b], s, m)
             bcost[b] = new_cost
             new_total = total - old_cost + new_cost
             if not new_total >= bound:
                 labels[i] = b
                 rec(i + 1, max(used, b + 1), new_total)
             bw[b] -= wt
-            bs[b] -= wt * x
-            bm[b] -= outer
+            for a in dims:
+                s[a] -= sx[a]
+            for t in pairs:
+                m[t] -= mx[t]
             bcost[b] = old_cost
 
     # Record 0 always opens block 0.
-    bw[0] = W[0]
-    bs[0] = W[0] * X[0]
-    bm[0] = np.outer(X[0], X[0]) * W[0]
-    bcost[0] = block_cost(0)
+    bw[0] = ws[0]
+    bs[0] = list(rs[0])
+    bm[0] = list(rm[0])
+    bcost[0] = cost(bw[0], bs[0], bm[0])
     rec(1, 1, bcost[0])
 
 

@@ -37,12 +37,23 @@ def parse_scalar(text, mode: str) -> Scalar:
     """Parse a JSON-level scalar: "num/den" strings in rational mode, numbers in float mode."""
     if mode == MODE_RATIONAL:
         if isinstance(text, str):
-            return Fraction(text)
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"rational scalar with a zero denominator: {text!r}") from None
         if isinstance(text, int):
             return Fraction(text)
         raise ScalarModeError(f"rational scalar must be a string or int, got {text!r}")
     if mode == MODE_FLOAT:
-        value = float(text)
+        if isinstance(text, float):
+            value = text
+        elif isinstance(text, (int, str)) and not isinstance(text, bool):
+            try:
+                value = float(text)
+            except OverflowError:  # an integer beyond the float range
+                value = math.inf
+        else:
+            raise ValueError(f"float scalars must be numbers, got {text!r:.40}")
         if not math.isfinite(value):
             raise ValueError(f"float scalars must be finite, got {text!r}")
         return value
@@ -141,7 +152,10 @@ class WeightedPointCloud:
             len(self.records), self.dim)
 
     def weights_array(self) -> np.ndarray:
-        return np.array([r.mult for r in self.records], dtype=float)
+        try:
+            return np.array([r.mult for r in self.records], dtype=float)
+        except OverflowError:
+            raise ValueError("a multiplicity is beyond the float64 range") from None
 
 
 def _require_same_mode(mode_a: str, mode_b: str, what: str) -> None:

@@ -114,21 +114,35 @@ def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
 
 
 def _parse_mult(value) -> int:
-    """A multiplicity as read: 1.7 is rejected rather than truncated to 1."""
-    if isinstance(value, (int, str)) or (isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise ValueError(f"multiplicities must be integers, got {value!r}")
+    """A multiplicity as read: 1.7 and true are rejected rather than read as 1."""
+    if isinstance(value, bool) or not (
+            isinstance(value, (int, str))
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"multiplicities must be integers, got {value!r}")
+    return int(value)
 
 
 def cloud_from_obj(data: dict) -> WeightedPointCloud:
+    if not isinstance(data, dict):
+        raise ValueError(f"a point cloud must be a JSON object, got {data!r:.40}")
     mode = data["scalar"]
     if mode not in (MODE_RATIONAL, MODE_FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
-    records = tuple(
-        PointRecord(tuple(parse_scalar(c, mode) for c in p["coords"]),
-                    _parse_mult(p.get("mult", 1)))
-        for p in data["points"])
-    return WeightedPointCloud(int(data["dim"]), mode, records)
+    dim, points = data["dim"], data["points"]
+    if isinstance(dim, bool) or not isinstance(dim, int):
+        raise ValueError(f"dim must be an integer, got {dim!r:.40}")
+    if not isinstance(points, list):
+        raise ValueError(f"points must be a list, got {points!r:.40}")
+    records = []
+    for p in points:
+        if not isinstance(p, dict):
+            raise ValueError(f"a point must be a JSON object, got {p!r:.40}")
+        coords = p["coords"]
+        if not isinstance(coords, list):
+            raise ValueError(f"coords must be a list, got {coords!r:.40}")
+        records.append(PointRecord(tuple(parse_scalar(c, mode) for c in coords),
+                                   _parse_mult(p.get("mult", 1))))
+    return WeightedPointCloud(dim, mode, tuple(records))
 
 
 def cloud_to_csv(cloud: WeightedPointCloud, include_mult: bool = False) -> str:

@@ -1,6 +1,10 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcover.cli import main
 from flatcover import io as fio
@@ -244,3 +248,136 @@ def test_csv_roundtrip(tmp_path):
     out = tmp_path / "fit.json"
     assert run(["fit", str(csv), "-r", "1", "-o", str(out)]) == 0
     assert read_json(out)["kind"] == "fit"
+
+
+GOOD_POINT = {"coords": [0.0, 1.0], "mult": 1}
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 2, "scalar": "float", "points": 5},
+    {"dim": 2, "scalar": "float", "points": [GOOD_POINT, None]},
+    {"dim": 2, "scalar": "float", "points": [GOOD_POINT, {"coords": 5}]},
+    {"dim": 2, "scalar": "float", "points": [GOOD_POINT, [1, 2]]},
+    {"dim": 2, "scalar": "float", "points": [GOOD_POINT, {"coords": [None, 1.0]}]},
+    {"dim": 2, "scalar": "float", "points": [GOOD_POINT, {"coords": [1, 2], "mult": True}]},
+    {"dim": "2", "scalar": "float", "points": [GOOD_POINT]},
+    "x",
+    [1, 2],
+], ids=["points-int", "point-null", "coords-int", "point-list", "coord-null",
+        "mult-bool", "dim-string", "top-string", "top-list"])
+@pytest.mark.parametrize("command", [["fit", "-r", "1"], ["cluster", "-k", "1", "-r", "1"]],
+                         ids=["fit", "cluster"])
+def test_wrongly_typed_json_exits_2(tmp_path, capsys, doc, command):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    argv = [command[0], str(src), *command[1:], "-o", str(tmp_path / "out.json")]
+    assert run(argv) == 2
+    assert_usage_error(capsys)
+
+
+@pytest.mark.parametrize("command,scalar,point", [
+    (["fit", "-r", "1"], "float", {"coords": [10**400, 0.0]}),
+    (["fit", "-r", "1"], "float", {"coords": [0.0, 1.0], "mult": 10**400}),
+    (["cover", "-k", "1"], "rational", {"coords": ["1/0", "1"]}),
+], ids=["coord-beyond-float", "mult-beyond-float", "zero-denominator"])
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, command, scalar, point):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"dim": 2, "scalar": scalar, "points": [
+        {"coords": [0, 0] if scalar == "float" else ["0", "0"]}, point]}))
+    argv = [command[0], str(src), *command[1:], "-o", str(tmp_path / "out.json")]
+    assert run(argv) == 2
+    assert_usage_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def rmis_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("rmis")
+    gpath = tmp / "graph.json"
+    gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8))))
+    ipath = tmp / "inst.json"
+    assert run(["reduce-rmis", str(gpath), "-o", str(ipath)]) == 0
+    return read_json(ipath)
+
+
+def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
+    witness = {"kind": "selection", "indices": [4, 5]}
+    no_params = dict(rmis_files)
+    del no_params["params"]
+    no_ell = dict(rmis_files, params=dict(rmis_files["params"]))
+    del no_ell["params"]["ell"]
+    cases = [(no_params, witness, "params"), (no_ell, witness, "ell"),
+             (rmis_files, {"kind": "selection"}, "indices")]
+    for inst, wit, field in cases:
+        ipath, wpath = tmp_path / "inst.json", tmp_path / "witness.json"
+        ipath.write_text(json.dumps(inst))
+        wpath.write_text(json.dumps(wit))
+        assert run(["verify", str(ipath), str(wpath)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: missing field '{field}'\n"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def cloud_docs(draw):
+    """A valid JSON cloud with at most one part replaced by an arbitrary JSON value."""
+    dim = draw(st.integers(1, 3))
+    points = draw(st.lists(st.fixed_dictionaries({
+        "coords": st.lists(st.integers(-9, 9) | st.floats(-1e3, 1e3),
+                           min_size=dim, max_size=dim),
+        "mult": st.integers(1, 3)}), min_size=1, max_size=5))
+    doc = {"dim": dim, "scalar": draw(st.sampled_from(["float", "float", "rational"])),
+           "points": points}
+    junk = draw(JSON_VALUES)
+    where = draw(st.sampled_from(
+        [None, "doc", "dim", "scalar", "points", "point", "coords", "coord", "mult"]))
+    if where == "doc":
+        return junk
+    if where in ("dim", "scalar", "points"):
+        doc[where] = junk
+    elif where == "point":
+        points[-1] = junk
+    elif where in ("coords", "mult"):
+        points[-1][where] = junk
+    elif where == "coord":
+        points[-1]["coords"][-1] = junk
+    return doc
+
+
+@st.composite
+def csv_texts(draw):
+    """Rows of numeric cells with at most one cell or extra row of arbitrary text."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from(["0", "1", "-2", "1.5", "3e2", " 4 "]),
+                                  min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    junk = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+                | st.sampled_from(["nan", "-inf", "1e999", "", "-1", "2.5", "9" * 400]))
+    where = draw(st.sampled_from([None, "cell", "row"]))
+    if where == "cell":
+        rows[-1][-1] = junk
+    elif where == "row":
+        rows.append([junk])
+    return "\n".join(",".join(row) for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=cloud_docs(), csv=csv_texts(), r=st.integers(0, 2),
+       csv_mult=st.booleans())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_loader_fuzz_exits_0_or_2(doc, csv, r, csv_mult):
+    with tempfile.TemporaryDirectory() as tmp:
+        jpath, cpath = os.path.join(tmp, "in.json"), os.path.join(tmp, "in.csv")
+        with open(jpath, "w") as fh:
+            json.dump(doc, fh)
+        with open(cpath, "w", encoding="utf-8") as fh:
+            fh.write(csv)
+        out = os.path.join(tmp, "out.json")
+        assert run(["fit", jpath, "-r", str(r), "-o", out]) in (0, 2)
+        argv = ["fit", cpath, "-r", str(r), "-o", out]
+        assert run(argv + ["--csv-mult"] if csv_mult else argv) in (0, 2)

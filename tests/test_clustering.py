@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flatcover.clustering import (
     HeuristicConfig,
     PartitionIterator,
+    _block_cost,
     count_consistent_partitions,
     is_voronoi_consistent,
     partition_count,
@@ -335,3 +336,83 @@ def test_solve_exact_non_finite_cost_raises():
     cloud = fcloud([(1e200, 0.0), (-1e200, 1.0), (0.0, 3.0)])
     with pytest.raises(ValueError, match="finite"):
         solve_exact(cloud, 1, 1)
+
+
+UPPER3 = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+def block_moments(points, weights):
+    """Weight, coordinate sums and upper-triangle raw moments, summed as the search does."""
+    w, s, m = 0.0, [0.0] * 3, [0.0] * 6
+    for x, wt in zip(np.asarray(points, dtype=float).tolist(), weights):
+        w += wt
+        for a in range(3):
+            s[a] += wt * x[a]
+        for t, (a, b) in enumerate(UPPER3):
+            m[t] += (x[a] * x[b]) * wt
+    return w, s, m
+
+
+def eigvalsh_cost(w, s, m, r):
+    A = np.empty((3, 3))
+    for t, (a, b) in enumerate(UPPER3):
+        A[a, b] = A[b, a] = m[t] - s[a] * s[b] / w
+    return max(float(np.sum(np.linalg.eigvalsh(A)[: 3 - r])), 0.0)
+
+
+def degenerate_3d_blocks(rng):
+    """Random blocks plus the spectra where the trigonometric eigenvalues lose accuracy."""
+    def rotation():
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        return q
+
+    blocks = []
+    for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+        for _ in range(40):
+            n = int(rng.integers(1, 10))
+            blocks.append((rng.normal(size=(n, 3)) * scale,
+                           rng.integers(1, 4, size=n).tolist()))
+    for _ in range(100):
+        # Isotropic disc: the two largest eigenvalues coincide (r = 1).
+        corners = int(rng.integers(3, 13))
+        t = 2 * np.pi * np.arange(corners) / corners
+        disc = np.column_stack([np.cos(t), np.sin(t), 1e-3 * rng.normal(size=corners)])
+        blocks.append((disc @ rotation().T + rng.normal(size=3), [1] * corners))
+        # Near-line: the two smallest eigenvalues coincide (r = 2).
+        n = int(rng.integers(3, 10))
+        line = np.outer(rng.normal(size=n), rng.normal(size=3))
+        blocks.append((line + 1e-4 * rng.normal(size=(n, 3)) + rng.normal(size=3), [1] * n))
+    octahedron = np.vstack([np.eye(3), -np.eye(3)])
+    for _ in range(20):
+        blocks.append((octahedron, [1] * 6))  # A = 2I exactly
+        blocks.append((octahedron @ rotation().T * rng.uniform(0.5, 2), [2] * 6))
+        blocks.append((np.tile(rng.normal(size=3), (4, 1)), [1, 2, 3, 1]))
+        blocks.append((rng.normal(size=(6, 3)) + 1e3, [1] * 6))
+    return blocks
+
+
+def test_block_cost_3d_closed_form_matches_eigvalsh():
+    # The closed form and its fallback must agree with eigvalsh on the same
+    # moments to eigvalsh's own noise, relative to the raw moment trace.
+    blocks = degenerate_3d_blocks(np.random.default_rng(11))
+    costs = [_block_cost(3, r) for r in range(3)]
+    for points, weights in blocks:
+        w, s, m = block_moments(points, weights)
+        tol = 1e-13 * (m[0] + m[3] + m[5])
+        for r, cost in enumerate(costs):
+            assert abs(cost(w, s, m) - eigvalsh_cost(w, s, m, r)) <= tol, (r, points)
+
+
+@pytest.mark.parametrize("d,k,r", [(3, 3, 0), (3, 3, 1), (3, 2, 2), (4, 3, 1), (4, 2, 2)])
+@pytest.mark.parametrize("with_mults", [False, True])
+def test_solve_exact_matches_oracle_beyond_planar_lines(d, k, r, with_mults):
+    # n = 7 > k(r+1) keeps every optimum away from zero (k = 2 where r = 2).
+    rng = np.random.default_rng(100 * d + 10 * k + r + with_mults)
+    for _ in range(3):
+        mults = rng.integers(1, 4, size=7).tolist() if with_mults else None
+        cloud = fcloud(rng.normal(size=(7, d)) * 3.0, mults)
+        sol = solve_exact(cloud, k, r)
+        oracle = brute_force_cost(cloud, k, r)
+        assert oracle > 1e-6
+        assert abs(sol.cost - oracle) <= 1e-12 * max(sol.cost, oracle)
+        assert is_voronoi_consistent(cloud, sol, tol=1e-9)
