@@ -367,11 +367,10 @@ def count_consistent_partitions(cloud: WeightedPointCloud, k: int, r: int,
     return count
 
 
-def _heuristic_restart(cloud, k, r, config, stream):
+def _heuristic_restart(X, W, k, r, config, stream):
+    """One seeded restart on the shared record arrays: (cost, assignment, flats)."""
     rng = make_rng(config.rng_seed, stream)
-    n = len(cloud.records)
-    X = cloud.coords_array()
-    W = cloud.weights_array()
+    n = len(X)
 
     def fit(idx):
         return fit_points(X[idx], W[idx], r).flat
@@ -382,29 +381,31 @@ def _heuristic_restart(cloud, k, r, config, stream):
     for _ in range(config.max_iter):
         D = np.column_stack([_dist2(X, f) for f in flats])
         assign = np.argmin(D, axis=1)  # ties resolve to the lowest flat index
-        for j in range(k):
-            members = np.flatnonzero(assign == j)
+        # Each flat's members in ascending record order, from one stable sort.
+        sizes = np.bincount(assign, minlength=k)
+        blocks = np.split(np.argsort(assign, kind="stable"), np.cumsum(sizes)[:-1])
+        resid = np.empty(n)
+        for j, members in enumerate(blocks):
             if len(members):
-                flats[j] = fit(members)
-        cur = np.column_stack([_dist2(X, f) for f in flats])
-        resid = cur[np.arange(n), assign]
+                Xj = X[members]
+                flats[j] = fit_points(Xj, W[members], r).flat
+                resid[members] = _dist2(Xj, flats[j])
         cost = float(W @ resid)
         # Reseed empty blocks from the records with the largest current
-        # residuals; a reseed changes the flats, so never converge on it.
-        claim = resid.copy()
+        # residuals (claimed in place: resid is rebuilt every round); a
+        # reseed changes the flats, so never converge on it.
         reseeded = False
-        for j in range(k):
-            if not np.any(assign == j):
-                worst = int(np.argmax(claim))
-                flats[j] = fit([worst])
-                claim[worst] = -1.0
-                reseeded = True
+        for j in np.flatnonzero(sizes == 0):
+            worst = int(np.argmax(resid))
+            flats[j] = fit([worst])
+            resid[worst] = -1.0
+            reseeded = True
         converged = (not reseeded
                      and prev_cost - cost <= config.rel_tol * max(prev_cost, 1e-300))
         prev_cost = cost
         if converged:
             break
-    return prev_cost, tuple(int(a) for a in assign), tuple(flats)
+    return prev_cost, assign, tuple(flats)
 
 
 def solve_heuristic(cloud: WeightedPointCloud, k: int, r: int,
@@ -413,10 +414,18 @@ def solve_heuristic(cloud: WeightedPointCloud, k: int, r: int,
 
     Each restart draws from an independent counter-based stream and restarts
     merge by (cost, assignment lexicographic), so the result does not depend
-    on the order in which restarts run.
+    on the order in which restarts run.  All restarts share one copy of the
+    record arrays; assignments are compared only between restarts of equal
+    cost.
     """
     _check_solver_args(cloud, k, r)
-    results = [_heuristic_restart(cloud, k, r, config, s)
-               for s in range(config.restarts)]
-    cost, assign, flats = min(results, key=lambda res: (res[0], res[1]))
-    return ClusteringSolution(flats, assign, cost)
+    X = cloud.coords_array()
+    W = cloud.weights_array()
+    best = None
+    for stream in range(config.restarts):
+        cost, assign, flats = _heuristic_restart(X, W, k, r, config, stream)
+        if (best is None or cost < best[0]
+                or (cost == best[0] and assign.tolist() < best[1].tolist())):
+            best = cost, assign, flats
+    cost, assign, flats = best
+    return ClusteringSolution(flats, assign.tolist(), cost)

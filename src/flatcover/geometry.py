@@ -289,7 +289,7 @@ class ClusteringSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "flats", tuple(self.flats))
-        object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
+        object.__setattr__(self, "assignment", tuple(map(int, self.assignment)))
 
 
 @dataclass(frozen=True)

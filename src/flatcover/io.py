@@ -100,6 +100,45 @@ def build_manifest(command: str, argv: Sequence[str], inputs: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
+# typed reads: a loader checks each JSON value's type where it converts it, so
+# a wrongly typed field is a ValueError (exit 2), never a TypeError or a
+# silently truncated number.
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {value!r:.40}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {value!r:.40}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer or a decimal string; floats and booleans are refused."""
+    if type(value) is not int and type(value) is not str:
+        raise ValueError(f"{what} must be an integer, got {value!r:.40}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def _ints(values, what: str) -> list:
+    return [_int(v, what) for v in _list(values, what)]
+
+
+def _pair(values, what: str) -> tuple:
+    pair = tuple(_ints(values, what))
+    if len(pair) != 2:
+        raise ValueError(f"{what} must be a pair of integers, got {values!r:.40}")
+    return pair
+
+
+# ---------------------------------------------------------------------------
 # point clouds
 
 
@@ -123,18 +162,15 @@ def _parse_mult(value) -> int:
 
 
 def cloud_from_obj(data: dict) -> WeightedPointCloud:
-    if not isinstance(data, dict):
-        raise ValueError(f"a point cloud must be a JSON object, got {data!r:.40}")
+    data = _object(data, "a point cloud")
     mode = data["scalar"]
     if mode not in (MODE_RATIONAL, MODE_FLOAT):
         raise ValueError(f"unknown scalar mode {mode!r}")
     dim, points = data["dim"], data["points"]
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"dim must be an integer, got {dim!r:.40}")
-    if not isinstance(points, list):
-        raise ValueError(f"points must be a list, got {points!r:.40}")
     records = []
-    for p in points:
+    for p in _list(points, "points"):
         if not isinstance(p, dict):
             raise ValueError(f"a point must be a JSON object, got {p!r:.40}")
         coords = p["coords"]
@@ -203,9 +239,29 @@ def cover_solution_to_obj(sol: CoverSolution) -> dict:
 
 
 def cover_solution_from_obj(data: dict) -> CoverSolution:
-    planes = tuple(Hyperplane(tuple(Fraction(c) for c in row))
-                   for row in data["hyperplanes"])
+    data = _object(data, "a cover")
+    planes = tuple(Hyperplane(tuple(parse_scalar(c, MODE_RATIONAL)
+                                    for c in _list(row, "a hyperplane")))
+                   for row in _list(data["hyperplanes"], "hyperplanes"))
     return CoverSolution(planes)
+
+
+def witness_from_obj(data: dict) -> tuple:
+    """A ``verify`` witness as (kind, value).
+
+    The value is a vertex list for ``dominating_set``, a CoverSolution for
+    ``cover`` and an index tuple for ``selection``.  Any other kind is an
+    error rather than a witness that checks nothing.
+    """
+    data = _object(data, "a witness")
+    kind = data.get("kind")
+    if kind == "dominating_set":
+        return kind, _ints(data["vertices"], "vertices")
+    if kind == "cover":
+        return kind, cover_solution_from_obj(data)
+    if kind == "selection":
+        return kind, tuple(_ints(data["indices"], "indices"))
+    raise ValueError(f"unknown witness kind {kind!r:.40}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +276,14 @@ def graph_to_obj(g: ColoredGraph) -> dict:
 
 
 def graph_from_obj(data: dict) -> ColoredGraph:
-    colors = tuple(tuple(c) for c in data["colors"]) if data.get("colors") else None
-    return ColoredGraph(int(data["n"]),
-                        frozenset(tuple(e) for e in data["edges"]),
+    data = _object(data, "a graph")
+    colors = data.get("colors")
+    if colors is not None:
+        colors = tuple(tuple(_ints(c, "a color class"))
+                       for c in _list(colors, "colors")) or None
+    return ColoredGraph(_int(data["n"], "n"),
+                        frozenset(_pair(e, "an edge")
+                                  for e in _list(data["edges"], "edges")),
                         colors)
 
 
@@ -286,59 +347,91 @@ def rmis_instance_to_obj(inst: RmisInstance) -> dict:
     }
 
 
+def _instance_cloud(data) -> WeightedPointCloud:
+    cloud = cloud_from_obj(data)
+    if cloud.mode != MODE_RATIONAL:
+        raise ValueError("a reduction instance needs a rational cloud")
+    return cloud
+
+
 def instance_from_obj(data: dict):
+    data = _object(data, "an instance")
     kind = data.get("kind")
     if kind == "ds_cover":
+        m = _object(data["meta"], "meta")
+        cloud = _instance_cloud(data["cloud"])
+        graph = graph_from_obj(data["graph"])
+        if graph.n_vertices != cloud.dim:
+            raise ValueError(f"a graph on {graph.n_vertices} vertices needs a "
+                             f"{graph.n_vertices}-dimensional cloud, got dim {cloud.dim}")
+        groups = {}
+        for v, se in _object(m["groups"], "groups").items():
+            start, end = _pair(se, "a vertex group")
+            if not 1 <= start <= end <= len(cloud.records):
+                raise ValueError(f"vertex group {v} spans rows {start}..{end} "
+                                 f"of {len(cloud.records)}")
+            groups[_int(v, "a group vertex")] = (start, end)
         meta = {
-            "rows_per_vertex": int(data["meta"]["rows_per_vertex"]),
-            "groups": {int(v): tuple(se)
-                       for v, se in data["meta"]["groups"].items()},
-            "base_numbers": tuple(data["meta"]["base_numbers"]),
-            "graph_sha256": data["meta"]["graph_sha256"],
+            "rows_per_vertex": _int(m["rows_per_vertex"], "rows_per_vertex"),
+            "groups": groups,
+            "base_numbers": tuple(_ints(m["base_numbers"], "base_numbers")),
+            "graph_sha256": m["graph_sha256"],
         }
-        return VandermondeInstance(cloud=cloud_from_obj(data["cloud"]),
-                                   k=int(data["k"]),
-                                   graph=graph_from_obj(data["graph"]),
-                                   meta=meta)
+        return VandermondeInstance(cloud=cloud, k=_int(data["k"], "k"),
+                                   graph=graph, meta=meta)
     if kind == "rmis":
-        par = data["params"]
+        par = _object(data["params"], "params")
+        faithful = par["faithful"]
+        if not isinstance(faithful, bool):
+            raise ValueError(f"faithful must be true or false, got {faithful!r:.40}")
         params = RmisParameters(
-            ell=int(par["ell"]), nu=int(par["nu"]), n=int(par["n"]),
-            q=int(par["q"]), p=int(par["p"]), W=int(par["W"]),
-            d_s=int(par["d_s"]), d_l=int(par["d_l"]),
-            B=int(data["B"]), faithful=bool(par["faithful"]))
-        tables = ThetaTables(tuple(int(t) for t in data["theta"]),
-                             tuple(int(t) for t in data["phi"]),
-                             tuple(int(t) for t in data["phi_prime"]))
-        m = data["meta"]
+            **{name: _int(par[name], name)
+               for name in ("ell", "nu", "n", "q", "p", "W", "d_s", "d_l")},
+            B=_int(data["B"], "B"), faithful=faithful)
+        tables = ThetaTables(tuple(_ints(data["theta"], "theta")),
+                             tuple(_ints(data["phi"], "phi")),
+                             tuple(_ints(data["phi_prime"], "phi_prime")))
+        m = _object(data["meta"], "meta")
+        slices = m["family_slices"]
         meta = {
-            "h_y": [[int(c) for c in row] for row in m["h_y"]],
-            "v_x": [[int(c) for c in row] for row in m["v_x"]],
-            "s_x": [[int(c) for c in row] for row in m["s_x"]],
-            "fixed_horizontal": tuple(int(c) for c in m["fixed_horizontal"]),
-            "fixed_vertical": tuple(int(c) for c in m["fixed_vertical"]),
-            "half": int(m["half"]),
-            "gh_rows": [int(c) for c in m["gh_rows"]],
-            "gh_cols": [int(c) for c in m["gh_cols"]],
-            "gv_rows": [int(c) for c in m["gv_rows"]],
-            "gv_cols": [int(c) for c in m["gv_cols"]],
-            "corner_mult": int(m["corner_mult"]),
+            "fixed_horizontal": _pair(m["fixed_horizontal"], "fixed_horizontal"),
+            "fixed_vertical": _pair(m["fixed_vertical"], "fixed_vertical"),
+            "half": _int(m["half"], "half"),
+            "gh_rows": _ints(m["gh_rows"], "gh_rows"),
+            "gh_cols": _ints(m["gh_cols"], "gh_cols"),
+            "gv_rows": _ints(m["gv_rows"], "gv_rows"),
+            "gv_cols": _ints(m["gv_cols"], "gv_cols"),
+            "corner_mult": _int(m["corner_mult"], "corner_mult"),
             "graph": graph_from_obj(m["graph"]),
             "graph_sha256": m["graph_sha256"],
-            "warnings": list(m["warnings"]),
-            "record_estimate": int(m["record_estimate"]),
-            "family_slices": ({name: tuple(se) for name, se in
-                               m["family_slices"].items()}
-                              if m["family_slices"] else None),
+            "warnings": list(_list(m["warnings"], "warnings")),
+            "record_estimate": _int(m["record_estimate"], "record_estimate"),
+            "family_slices": None if slices is None else {
+                name: _pair(se, "a family slice")
+                for name, se in _object(slices, "family_slices").items()},
         }
-        cloud = cloud_from_obj(data["cloud"]) if data["cloud"] else None
-        # Rational clouds round-trip through Fractions; reduction instances
-        # are integral, so restore plain ints for the audits.
-        if cloud is not None:
-            records = tuple(
-                PointRecord(tuple(int(c) for c in r.coords), r.mult)
-                for r in cloud.records)
-            cloud = WeightedPointCloud(2, MODE_RATIONAL, records)
-        return RmisInstance(cloud=cloud, k=int(data["k"]), B=int(data["B"]),
+        # Line tables are ell rows of nu coordinates, indexed [i-1][j-1].
+        for name in ("h_y", "v_x", "s_x"):
+            rows = [_ints(row, name) for row in _list(m[name], name)]
+            if len(rows) != params.ell or any(len(row) != params.nu for row in rows):
+                raise ValueError(f"{name} must hold {params.ell} rows of {params.nu}")
+            meta[name] = rows
+        cloud = None
+        if data["cloud"] is not None:
+            if slices is None:
+                raise ValueError("a materialized instance needs family_slices")
+            # Rational clouds round-trip through Fractions; reduction
+            # instances are integral, so restore plain ints for the audits.
+            cloud = _instance_cloud(data["cloud"])
+            if cloud.dim != 2:
+                raise ValueError(f"an rmis cloud is planar, got dim {cloud.dim}")
+            records = []
+            for rec in cloud.records:
+                x, y = rec.coords
+                if x.denominator != 1 or y.denominator != 1:
+                    raise ValueError(f"rmis coordinates must be integers, got {x}, {y}")
+                records.append(PointRecord((x.numerator, y.numerator), rec.mult))
+            cloud = WeightedPointCloud(2, MODE_RATIONAL, tuple(records))
+        return RmisInstance(cloud=cloud, k=_int(data["k"], "k"), B=params.B,
                             params=params, tables=tables, meta=meta)
     raise ValueError(f"unknown instance kind {kind!r}")

@@ -68,7 +68,8 @@ class ColoredGraph:
         if self.colors is not None:
             classes = tuple(tuple(int(v) for v in cls) for cls in self.colors)
             seen = [v for cls in classes for v in cls]
-            if sorted(seen) != list(range(self.n_vertices)):
+            if (len(seen) != self.n_vertices
+                    or sorted(seen) != list(range(self.n_vertices))):
                 raise ValueError("colors must partition the vertex set")
             sizes = {len(cls) for cls in classes}
             if len(sizes) != 1:
@@ -197,6 +198,8 @@ def dominating_set_to_cover_witness(inst: VandermondeInstance,
                                     subset: Iterable[int]) -> list[Hyperplane]:
     """Forward witness: the planes x[i] = 1 for i in the dominating set."""
     subset = sorted(set(int(v) for v in subset))
+    if any(not 0 <= v < inst.graph.n_vertices for v in subset):
+        raise ValueError(f"witness vertices must lie in 0..{inst.graph.n_vertices - 1}")
     if len(subset) > inst.k:
         raise ValueError(f"witness has {len(subset)} vertices but k = {inst.k}")
     if not inst.graph.is_dominating(subset):

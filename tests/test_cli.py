@@ -1,3 +1,5 @@
+import copy
+import functools
 import json
 import os
 import tempfile
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from flatcover.cli import main
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph, path_graph
+from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
 
 
 def run(argv):
@@ -381,3 +384,168 @@ def test_loader_fuzz_exits_0_or_2(doc, csv, r, csv_mult):
         assert run(["fit", jpath, "-r", str(r), "-o", out]) in (0, 2)
         argv = ["fit", cpath, "-r", str(r), "-o", out]
         assert run(argv + ["--csv-mult"] if csv_mult else argv) in (0, 2)
+
+
+@functools.cache
+def reduction_cases():
+    """Valid inputs of the reduction commands: name -> (argv, {role: JSON doc}).
+
+    argv holds ``{role}`` placeholders for the files written from the docs.
+    """
+    def doc(obj):
+        return json.loads(fio.dumps_canonical(obj))
+
+    ds_inst = doc(fio.ds_instance_to_obj(ds_to_hyperplane_cover(path_graph(4), 2)))
+    rmis_graph = matching_color_graph(2, 4)
+    verify = ["verify", "{inst}", "{witness}"]
+    return {
+        "reduce-ds": (["reduce-ds", "{graph}", "-k", "2", "-o", "{out}"],
+                      {"graph": doc(fio.graph_to_obj(path_graph(4)))}),
+        "reduce-rmis": (["reduce-rmis", "{graph}", "-o", "{out}"],
+                        {"graph": doc(fio.graph_to_obj(rmis_graph))}),
+        "verify-ds": (verify, {"inst": ds_inst, "witness": {
+            "kind": "dominating_set", "vertices": [0, 2]}}),
+        "verify-ds-cover": (verify, {"inst": ds_inst, "witness": {
+            "kind": "cover",
+            "hyperplanes": [["-1", "1", "0", "0", "0"], ["-1", "0", "0", "1", "0"]]}}),
+        "verify-rmis": (verify, {
+            "inst": doc(fio.rmis_instance_to_obj(rmis_to_line_clustering(rmis_graph))),
+            "witness": {"kind": "selection", "indices": [1, 2]}}),
+    }
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the node at path (keys and indices) set to value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def run_reduction_case(tmp, argv, docs):
+    paths = {"out": os.path.join(tmp, "out.json")}
+    for role, doc in docs.items():
+        paths[role] = os.path.join(tmp, f"{role}.json")
+        with open(paths[role], "w") as fh:
+            json.dump(doc, fh)
+    return run([arg.format(**paths) for arg in argv])
+
+
+def test_reduction_cases_are_valid(tmp_path):
+    for name, (argv, docs) in reduction_cases().items():
+        # The rmis selection (1, 2) picks adjacent vertices, so verify FAILs.
+        assert run_reduction_case(str(tmp_path), argv, docs) == (
+            1 if name == "verify-rmis" else 0), name
+
+
+@pytest.mark.parametrize("case,role,path,value", [
+    ("reduce-ds", "graph", (), [4, []]),
+    ("reduce-ds", "graph", ("n",), [4]),
+    ("reduce-ds", "graph", ("edges",), 5),
+    ("reduce-ds", "graph", ("edges", 0), [[0], [1]]),
+    ("reduce-ds", "graph", ("edges", 0, 1), 1.5),
+    ("reduce-rmis", "graph", ("n",), None),
+    ("reduce-rmis", "graph", ("colors",), [[0, 1, 2, 3], 7]),
+    ("reduce-rmis", "graph", ("n",), 10**12),
+    ("verify-ds", "inst", ("k",), [2]),
+    ("verify-ds", "inst", ("graph",), None),
+    ("verify-ds", "inst", ("meta", "groups", "0"), 3),
+    ("verify-ds", "inst", ("meta", "groups", "0"), [0, 99]),
+    ("verify-ds", "witness", (), [0, 2]),
+    ("verify-ds", "witness", ("vertices",), "02"),
+    ("verify-ds", "witness", ("vertices",), [0.5, 2]),
+    ("verify-ds-cover", "witness", ("hyperplanes", 0, 0), None),
+    ("verify-ds-cover", "witness", ("hyperplanes", 0, 0), "1/0"),
+    ("verify-rmis", "inst", (), {"kind": "rmis", "params": [1], "B": "1"}),
+    ("verify-rmis", "inst", (), [1]),
+    ("verify-rmis", "inst", ("params", "nu"), 2.5),
+    ("verify-rmis", "inst", ("params", "faithful"), "no"),
+    ("verify-rmis", "inst", ("B",), None),
+    ("verify-rmis", "inst", ("theta",), 5),
+    ("verify-rmis", "inst", ("meta", "h_y"), [[None]]),
+    ("verify-rmis", "inst", ("meta", "family_slices"), None),
+    ("verify-rmis", "inst", ("meta", "family_slices", "F"), 5),
+    ("verify-rmis", "inst", ("cloud", "points", 0, "coords", 0), "1/2"),
+    ("verify-rmis", "witness", ("indices",), ["1", [2]]),
+    ("verify-rmis", "witness", ("kind",), "selectoin"),
+], ids=["graph-list", "n-list", "edges-int", "edge-of-lists", "edge-float",
+        "rmis-n-null", "colors-int", "rmis-n-huge", "ds-k-list", "ds-graph-null",
+        "ds-group-int", "ds-group-out-of-range",
+        "witness-list", "vertices-string", "vertices-float", "plane-null",
+        "plane-zero-denominator", "rmis-params-list", "instance-list", "nu-float",
+        "faithful-string", "B-null", "theta-int", "h_y-null", "slices-null", "slice-int",
+        "coord-fraction", "indices-mixed", "witness-kind-misspelled"])
+def test_wrongly_typed_reduction_json_exits_2(tmp_path, capsys, case, role, path, value):
+    argv, docs = reduction_cases()[case]
+    docs = dict(docs, **{role: replaced(docs[role], path, value)})
+    assert run_reduction_case(str(tmp_path), argv, docs) == 2
+    assert_usage_error(capsys)
+
+
+@pytest.mark.parametrize("n,vertex,message", [
+    (4, 7, "0..3"), (4, -2, "0..3"), (5, 4, "5-dimensional")],
+    ids=["beyond-graph", "negative", "graph-beyond-cloud"])
+def test_verify_witness_vertex_out_of_range_exits_2(tmp_path, capsys, n, vertex, message):
+    # k = 3 lets {0, 2} dominate with one vertex to spare: a vertex beyond the
+    # graph or the cloud's coordinates must not index past them or wrap to
+    # the last one.
+    argv, docs = reduction_cases()["verify-ds"]
+    inst = replaced(replaced(docs["inst"], ("k",), 3), ("graph", "n"), n)
+    docs = {"inst": inst, "witness": {"kind": "dominating_set", "vertices": [0, 2, vertex]}}
+    assert run_reduction_case(str(tmp_path), argv, docs) == 2
+    assert message in assert_usage_error(capsys)
+
+
+def test_verify_short_line_table_exits_2(tmp_path, capsys):
+    # A counts-only instance skips the audit of the records, so a short h_y
+    # row would reach the selection's table lookup.
+    argv, docs = reduction_cases()["verify-rmis"]
+    inst = replaced(replaced(docs["inst"], ("cloud",), None), ("meta", "h_y", 1), [1])
+    assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 2
+    assert "h_y must hold 2 rows of 4" in assert_usage_error(capsys)
+
+
+def json_paths(doc, prefix=()):
+    """Every node of a JSON document as a path of keys and indices."""
+    yield prefix
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+# Junk for the reduction inputs.  Size fields (a graph's n, an instance's nu)
+# scale the work of a reduction or an audit and no guard bounds them yet, so
+# junk integers stay small here.
+SMALL_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats()
+    | st.sampled_from(["", "x", "3", "-1", "1/2", "2.5", "1/0"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def corrupted_reduction_inputs(draw):
+    """A reduction command's valid inputs with one node replaced by junk."""
+    argv, docs = reduction_cases()[draw(st.sampled_from(sorted(reduction_cases())))]
+    role = draw(st.sampled_from(sorted(docs)))
+    path = draw(st.sampled_from(list(json_paths(docs[role]))))
+    return argv, dict(docs, **{role: replaced(docs[role], path, draw(SMALL_JSON_VALUES))})
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=corrupted_reduction_inputs())
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_reduction_loader_fuzz_exits_0_1_or_2(case):
+    argv, docs = case
+    with tempfile.TemporaryDirectory() as tmp:
+        assert run_reduction_case(tmp, argv, docs) in (0, 1, 2)
