@@ -20,7 +20,6 @@ from .geometry import (  # noqa: F401
     PointRecord,
     WeightedPointCloud,
     canonicalize_flat,
-    dist2_point_complement_form,
     dist2_point_flat,
     total_cost,
 )

@@ -140,7 +140,8 @@ def cmd_cover(args) -> int:
 def cmd_reduce_ds(args) -> int:
     t0 = time.time()
     g = fio.graph_from_obj(_load_json(args.graph))
-    inst = ds_to_hyperplane_cover(g, args.k, allow_trivial=args.allow_trivial)
+    inst = ds_to_hyperplane_cover(g, args.k, allow_trivial=args.allow_trivial,
+                                  guard=args.guard)
     payload = fio.ds_instance_to_obj(inst)
     _write_output(args, payload, "reduce-ds", [args.graph], None, t0)
     return 0
@@ -158,7 +159,7 @@ def cmd_reduce_rmis(args) -> int:
         constants=overrides or None,
         materialize=None if args.materialize == "auto" else args.materialize == "yes")
     payload = fio.rmis_instance_to_obj(inst)
-    payload["audit"] = audit_rmis_instance(inst)
+    payload["audit"] = audit_rmis_instance(inst, guard=args.guard)
     _write_output(args, payload, "reduce-rmis", [args.graph], None, t0)
     return 0 if all(payload["audit"].values()) else 1
 
@@ -187,7 +188,7 @@ def cmd_verify(args) -> int:
             print("unsupported witness kind for a ds_cover instance", file=sys.stderr)
             return 2
     else:  # "rmis": instance_from_obj refuses every other kind
-        report = audit_rmis_instance(inst)
+        report = audit_rmis_instance(inst, guard=args.guard)
         for name, ok in report.items():
             checks.append((f"audit: {name}", ok))
         if kind == "selection":
@@ -288,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("-o", "--output", default=None, help="output file")
         p.add_argument("--guard", type=int, default=None,
-                       help="search node cap override (also FLATCOVER_GUARD)")
+                       help="cap on search nodes, reduction records or audited "
+                            "vertices (also FLATCOVER_GUARD)")
 
     p = sub.add_parser("fit", help="optimal single flat")
     p.add_argument("input")
@@ -341,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a witness against an instance")
     p.add_argument("instance")
     p.add_argument("witness")
+    common(p, output=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="instance generators")

@@ -12,6 +12,17 @@ the total hull-dimension budget k*d.  When the remaining positions fit in
 the free hull capacity, the first branch is the greedy completion, which
 cannot fail, so no separate terminal rule is needed.
 
+Before branching, a counting cut rejects instances where no hyperplane holds
+enough positions: k hyperplanes that each hold fewer than n/k of the n
+distinct positions cannot cover them.  The cut runs for d <= 3 when
+n > k*d (with n <= k*d every slot can take d positions, so a cover exists).
+It hashes hyperplanes by gcd-normalised integer keys, one anchor position at
+a time, and stops at the first hyperplane that holds ceil(n/k) positions,
+since the cut cannot fire after that.  For d >= 4 the d-subsets per anchor
+are too many to hash, so the search runs without it.  The hashing is not
+counted against the node guard.  The same keys group point pairs into lines
+in the d=2 forced-line kernel.
+
 ``generate_candidates`` enumerates every hyperplane spanned by at most d
 positions; it is kept as the reference oracle the tests compare against.
 """
@@ -19,6 +30,7 @@ positions; it is kept as the reference oracle the tests compare against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -105,8 +117,11 @@ def solve_cover(cloud: WeightedPointCloud, k: int, *,
     """Cover all positions with at most k hyperplanes, or None if impossible.
 
     A None answer carries the full guarantee that no k hyperplanes cover:
-    the search explores its space exhaustively.  ``guard`` caps the nodes it
-    may visit; exceeding it raises GuardLimitError.
+    either the counting cut shows that no hyperplane holds n/k of the n
+    distinct positions (checked for d <= 3 and n > k*d, stopping at the first
+    hyperplane that holds enough), or the search explores its space
+    exhaustively.  ``guard`` caps the nodes the search may visit; exceeding
+    it raises GuardLimitError.  The cut's hashing does not count as nodes.
     """
     _require_rational(cloud, "solve_cover")
     if k < 0:
@@ -125,12 +140,70 @@ def solve_cover(cloud: WeightedPointCloud, k: int, *,
 
 
 # ---------------------------------------------------------------------------
+# integer hyperplane keys and the counting cut
+
+
+def _plane_key(base, spans):
+    """Hash key of the hyperplane through integer point ``base`` along ``spans``.
+
+    ``spans`` holds d-1 integer difference vectors, one for d=2 and two for
+    d=3.  The key is (c0, n1..nd) with the normal n coprime, its first nonzero
+    entry positive and c0 = -n.base, so each hyperplane has exactly one key.
+    Returns None when the spans are linearly dependent.
+    """
+    if len(spans) == 1:
+        (dx, dy), = spans
+        normal = (dy, -dx)
+    else:
+        (u0, u1, u2), (v0, v1, v2) = spans
+        normal = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    g = math.gcd(*normal)
+    if not g:
+        return None
+    if next(c for c in normal if c) < 0:
+        g = -g
+    normal = tuple(c // g for c in normal)
+    return (-sum(a * b for a, b in zip(normal, base)), *normal)
+
+
+def _some_plane_holds(pts, target):
+    """Whether some hyperplane holds ``target`` of the distinct integer points.
+
+    For d = 2 or 3 and target > d.  A hyperplane holding the most points is
+    spanned by d of them, so it suffices to hash the hyperplanes through
+    each anchor and d-1 later points; anchoring at the hyperplane's first
+    point finds all its members.  Anchors with fewer than target-1 later
+    points cannot reach the target and are skipped.
+    """
+    n, d = len(pts), len(pts[0])
+    for a in range(n - target + 1):
+        base = pts[a]
+        diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts[a + 1:]]
+        members: dict[tuple, set] = {}
+        for combo in itertools.combinations(range(len(diffs)), d - 1):
+            key = _plane_key(base, [diffs[t] for t in combo])
+            if key is None:
+                continue
+            held = members.setdefault(key, set())
+            held.update(combo)
+            if len(held) + 1 >= target:
+                return True
+        if not members:
+            # The anchor and every later point are collinear: a plane
+            # through their line holds all n - a >= target of them.
+            return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # partition search
 
 
 def _solve_partition(positions, d, k, guard):
     pts = integer_points(positions)
     n = len(pts)
+    if 2 <= d <= 3 and n > k * d and not _some_plane_holds(pts, -(-n // k)):
+        return None
     cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
     nodes = 0
 
@@ -202,24 +275,26 @@ def forced_line_kernel(cloud: WeightedPointCloud, k: int) -> Optional[KernelResu
     if k < 0:
         raise ValueError("k must be >= 0")
     positions = cloud.distinct_positions()
+    pts = integer_points(positions)
     forced: list[Hyperplane] = []
     k_cur = k
     while k_cur >= 1 and len(positions) >= 2:
-        counts: dict[tuple, set] = {}
-        for i, j in itertools.combinations(range(len(positions)), 2):
-            h = fit_hyperplane_exact([positions[i], positions[j]])
-            counts.setdefault(h.coeffs, set()).update((i, j))
-        best = None
-        for coeffs, members in counts.items():
-            if len(members) >= k_cur + 1:
-                key = (-len(members), coeffs)
-                if best is None or key < best[0]:
-                    best = (key, coeffs, members)
-        if best is None:
+        lines: dict[tuple, set] = {}
+        for (i, p), (j, q) in itertools.combinations(enumerate(pts), 2):
+            key = _plane_key(p, [(q[0] - p[0], q[1] - p[1])])
+            lines.setdefault(key, set()).update((i, j))
+        most = max(map(len, lines.values()))
+        if most < k_cur + 1:
             break
-        _, coeffs, members = best
+        # Force a line with the most members; ties go to the smallest
+        # normalized coefficients, so only those lines need a Hyperplane.
+        heaviest = {fit_hyperplane_exact([positions[i] for i in sorted(m)[:2]]).coeffs: m
+                    for m in lines.values() if len(m) == most}
+        coeffs = min(heaviest)
+        members = heaviest[coeffs]
         forced.append(Hyperplane(coeffs))
         positions = [p for t, p in enumerate(positions) if t not in members]
+        pts = [p for t, p in enumerate(pts) if t not in members]
         k_cur -= 1
     if len(positions) > k_cur * k_cur:
         return None

@@ -25,7 +25,7 @@ from .errors import (
     RankDeficiencyError,
     ScalarModeError,
 )
-from .util import DEFAULT_REL_TOL, fraction_sqrt
+from .util import fraction_sqrt
 
 Scalar = Union[Fraction, float]
 
@@ -331,25 +331,6 @@ def dist2_point_flat(x: Sequence, flat: AffineFlat) -> Scalar:
         t = sum(a * b for a, b in zip(col, diff))
         diff = [a - t * b for a, b in zip(diff, col)]
     return sum(a * a for a in diff)
-
-
-def dist2_point_complement_form(x: Sequence, comp: Sequence[Sequence], p: Sequence,
-                                tol: float = DEFAULT_REL_TOL) -> float:
-    """Squared distance via the orthogonal complement: |C^T (x - p)|^2.
-
-    ``comp`` holds d-r column-orthonormal columns spanning the complement of
-    the flat's direction space.  Agrees with :func:`dist2_point_flat` for the
-    flat through p whose basis is the complement of ``comp``.
-    """
-    C = np.array([list(col) for col in comp], dtype=float).T
-    d = C.shape[0]
-    if len(x) != d or len(p) != d:
-        raise DimensionMismatchError("point, offset, and complement dimensions differ")
-    gram = C.T @ C
-    if not np.allclose(gram, np.eye(C.shape[1]), atol=max(tol, 1e-9)):
-        raise RankDeficiencyError("complement matrix is not column-orthonormal")
-    y = C.T @ (np.asarray(x, dtype=float) - np.asarray(p, dtype=float))
-    return float(y @ y)
 
 
 def canonicalize_flat(raw_basis: Sequence[Sequence], raw_offset: Sequence,

@@ -29,13 +29,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import IntegrityError, ScalarModeError
+from .errors import GuardLimitError, IntegrityError, ScalarModeError
 from .geometry import (
     MODE_RATIONAL,
     Hyperplane,
     PointRecord,
     WeightedPointCloud,
 )
+from .util import DEFAULT_NODE_GUARD, resolve_guard
 
 # Instances whose record count exceeds this are kept in counts-only form.
 MATERIALIZE_RECORD_LIMIT = 500_000
@@ -140,7 +141,8 @@ def vandermonde_value(row: int, col: int) -> int:
 
 
 def ds_to_hyperplane_cover(g: ColoredGraph, k_prime: int, *,
-                           allow_trivial: bool = False) -> VandermondeInstance:
+                           allow_trivial: bool = False,
+                           guard: int | None = None) -> VandermondeInstance:
     """Build the d^2*k' point instance in R^d from a Dominating Set question.
 
     Point rows are grouped by vertex: vertex v (0-based) owns rows
@@ -151,6 +153,9 @@ def ds_to_hyperplane_cover(g: ColoredGraph, k_prime: int, *,
     point group degenerates to one repeated position; such graphs are
     rejected unless ``allow_trivial`` is set (the construction itself stays
     sound, only the hardness content evaporates).
+
+    ``guard`` caps the d^2*k' records; a larger instance raises
+    GuardLimitError before any record is built.
     """
     d = g.n_vertices
     if d <= 1:
@@ -163,6 +168,10 @@ def ds_to_hyperplane_cover(g: ColoredGraph, k_prime: int, *,
                 raise ValueError(
                     f"vertex {v} is adjacent to all others; the instance "
                     "would be trivial (pass allow_trivial to build it anyway)")
+    cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
+    if d * d * k_prime > cap:
+        raise GuardLimitError(
+            f"instance too large: d^2*k' = {d * d * k_prime} records exceed {cap}")
     rows_per_vertex = d * k_prime
     records = []
     groups = {}
@@ -619,12 +628,14 @@ def desanitize_multiset(inst: RmisInstance):
 # audits
 
 
-def audit_rmis_instance(inst: RmisInstance) -> dict:
+def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict:
     """Recompute every count identity and the budget from first principles.
 
     Materialized instances are audited against their actual records; in
     counts-only form the per-line weights are recomputed from the graph and
-    the placement rule.  Returns a report dict of check name -> bool.
+    the placement rule, one vertex at a time, so ``guard`` caps the vertex
+    count n read from the parameters (GuardLimitError above it).  Returns a
+    report dict of check name -> bool.
     """
     par, tab = inst.params, inst.tables
     ell, nu, n, q, p, W, d_l = par.ell, par.nu, par.n, par.q, par.p, par.W, par.d_l
@@ -686,6 +697,10 @@ def audit_rmis_instance(inst: RmisInstance) -> dict:
         report["per_s_line_X"] = all(w == expected_s for w in per_s.values())
         report["per_v_line_X"] = all(w == expected_v for w in per_v.values())
     else:
+        cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
+        if n > cap:
+            raise GuardLimitError(
+                f"instance too large: counts-only audit over n = {n} vertices exceeds {cap}")
         g: ColoredGraph = inst.meta["graph"]
         deg = g.degree_map()
         # Per-line weights from the placement rule: conflicts (edges plus
@@ -713,10 +728,3 @@ def audit_rmis_instance(inst: RmisInstance) -> dict:
     report["frame_positions"] = gh + gv == k * k + 2 * k
     report["k_value"] = k == 2 * ell + 4
     return report
-
-
-def assert_rmis_integrity(inst: RmisInstance) -> None:
-    report = audit_rmis_instance(inst)
-    bad = [name for name, ok in report.items() if not ok]
-    if bad:
-        raise IntegrityError(f"reduction invariants violated: {bad}")

@@ -8,10 +8,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# Default relative tolerance for float comparisons, downstream of
-# d^3-conditioned eigenproblems.
-DEFAULT_REL_TOL = 1e-9
-
 # Cap on the nodes an exact search (clustering partitions, cover slots) may
 # visit; exceeding it raises GuardLimitError, never degrades to a heuristic.
 DEFAULT_NODE_GUARD = 10**7

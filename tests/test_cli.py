@@ -509,6 +509,30 @@ def test_verify_short_line_table_exits_2(tmp_path, capsys):
     assert "h_y must hold 2 rows of 4" in assert_usage_error(capsys)
 
 
+def assert_guard_exit(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("guard: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_reduce_ds_guard_caps_records_before_building(tmp_path, capsys):
+    # A 60-vertex path graph with k' = 2 needs 60^2 * 2 = 7200 records of 60
+    # Fractions each, seconds of work and hundreds of MB.
+    argv, _ = reduction_cases()["reduce-ds"]
+    docs = {"graph": fio.graph_to_obj(path_graph(60))}
+    assert run_reduction_case(str(tmp_path), argv + ["--guard", "1000"], docs) == 3
+    assert_guard_exit(capsys)
+    assert not os.path.exists(tmp_path / "out.json")
+
+
+def test_verify_guard_caps_counts_only_audit(tmp_path, capsys):
+    # The counts-only audit loops over the n vertices read from the file.
+    argv, docs = reduction_cases()["verify-rmis"]
+    inst = replaced(replaced(docs["inst"], ("cloud",), None), ("params", "n"), str(10**12))
+    assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 3
+    assert_guard_exit(capsys)
+
+
 def json_paths(doc, prefix=()):
     """Every node of a JSON document as a path of keys and indices."""
     yield prefix
@@ -523,8 +547,9 @@ def json_paths(doc, prefix=()):
 
 
 # Junk for the reduction inputs.  Size fields (a graph's n, an instance's nu)
-# scale the work of a reduction or an audit and no guard bounds them yet, so
-# junk integers stay small here.
+# scale the work of a reduction or an audit.  The guard bounds only reduce-ds's
+# d^2*k' records and the counts-only audit's n, and its default still admits
+# minutes of work, so junk integers stay small here.
 SMALL_JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-9, 9) | st.floats()
     | st.sampled_from(["", "x", "3", "-1", "1/2", "2.5", "1/0"]),

@@ -230,6 +230,101 @@ def test_cover_integrity_check(monkeypatch):
         solve_cover(cloud, 1)
 
 
+def grid_heavy_cloud(rng, d):
+    """A cloud drawn mostly from a small grid, so many of its points are
+    collinear (d = 2) or coplanar (d = 3), plus a point or two off the grid."""
+    side = 4 if d == 2 else 3
+    grid = list(itertools.product(range(side), repeat=d))
+    n = int(rng.integers(2 * d + 1, 13 if d == 2 else 12))
+    pts = {grid[i] for i in rng.choice(len(grid), size=n, replace=False)}
+    for _ in range(int(rng.integers(0, 3))):
+        pts.add(tuple(int(c) for c in rng.integers(-9, 10, size=d)))
+    return rcloud(pts)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]))
+def test_cover_matches_oracle_on_grid_heavy_clouds(seed, d):
+    # The counting cut must never turn one of these YES instances into a NO.
+    cloud = grid_heavy_cloud(np.random.default_rng(seed), d)
+    for k in range(1, 5):
+        got = solve_cover(cloud, k)
+        assert (got is not None) == oracle_cover(cloud, k), k
+        if got is not None:
+            assert len(got.hyperplanes) <= k
+            assert verify_cover(cloud, got.hyperplanes)
+
+
+@pytest.mark.parametrize("d,n,k", [(2, 15, 7), (3, 13, 4)])
+def test_counting_cut_answers_general_position_no_at_guard_1(d, n, k):
+    # Moment-curve points: no d+1 lie on one hyperplane, so every hyperplane
+    # holds at most d < n/k of them and the cut answers before any node.
+    cloud = rcloud([tuple(t ** e for e in range(1, d + 1)) for t in range(1, n + 1)])
+    assert solve_cover(cloud, k, guard=1) is None
+    assert solve_cover(cloud, k + 1) is not None
+
+
+def test_counting_cut_keeps_collinear_3d_clouds():
+    # Every point on one line: the cut's plane hashing sees no plane spanned
+    # by three points, yet a single plane holds them all.
+    cloud = rcloud([(t, 2 * t, 3 * t) for t in range(7)])
+    for k in (1, 2):
+        sol = solve_cover(cloud, k)
+        assert sol is not None and verify_cover(cloud, sol.hyperplanes)
+
+
+def reference_kernel(cloud, k):
+    """The forced-line kernel with one exact Fraction fit per point pair: the
+    oracle the integer line hashing in forced_line_kernel must match."""
+    positions = cloud.distinct_positions()
+    forced = []
+    k_cur = k
+    while k_cur >= 1 and len(positions) >= 2:
+        counts = {}
+        for i, j in itertools.combinations(range(len(positions)), 2):
+            h = fit_hyperplane_exact([positions[i], positions[j]])
+            counts.setdefault(h.coeffs, set()).update((i, j))
+        best = None
+        for coeffs, members in counts.items():
+            if len(members) >= k_cur + 1:
+                key = (-len(members), coeffs)
+                if best is None or key < best[0]:
+                    best = (key, coeffs, members)
+        if best is None:
+            break
+        _, coeffs, members = best
+        forced.append(Hyperplane(coeffs))
+        positions = [p for t, p in enumerate(positions) if t not in members]
+        k_cur -= 1
+    if len(positions) > k_cur * k_cur:
+        return None
+    kept = set(positions)
+    reduced = tuple(r for r in cloud.records if r.coords in kept)
+    return reduced, tuple(forced), k_cur
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 4), st.booleans())
+def test_kernel_matches_fraction_reference(seed, k, rational):
+    rng = np.random.default_rng(seed)
+    pts = set()
+    for _ in range(int(rng.integers(1, 5))):
+        base = rng.integers(-20, 21, size=2)
+        step = rng.integers(-3, 4, size=2)
+        for t in rng.integers(-8, 9, size=int(rng.integers(1, 8))):
+            pts.add(tuple(int(b + t * s) for b, s in zip(base, step)))
+    if rational:
+        den = [int(v) for v in rng.integers(1, 6, size=2)]
+        pts = {(Fraction(x, den[0]), Fraction(y, den[1])) for x, y in pts}
+    cloud = rcloud(pts)
+    got = forced_line_kernel(cloud, k)
+    expect = reference_kernel(cloud, k)
+    if expect is None:
+        assert got is None
+    else:
+        assert (got.reduced.records, got.forced, got.k) == expect
+
+
 def test_kernel_forces_heavy_line():
     pts = [(i, 0) for i in range(5)] + [(0, 3), (2, 7)]
     kr = forced_line_kernel(rcloud(pts), 2)

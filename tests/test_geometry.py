@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatcover.errors import DimensionMismatchError, ScalarModeError
+from flatcover.errors import DimensionMismatchError, RankDeficiencyError, ScalarModeError
 from flatcover.geometry import (
     MODE_FLOAT,
     MODE_RATIONAL,
@@ -15,12 +15,27 @@ from flatcover.geometry import (
     PointRecord,
     WeightedPointCloud,
     canonicalize_flat,
-    dist2_point_complement_form,
     dist2_point_flat,
     format_scalar,
     parse_scalar,
     total_cost,
 )
+
+
+def dist2_point_complement_form(x, comp, p, tol=1e-9):
+    """Independent oracle for dist2_point_flat: |C^T (x - p)|^2.
+
+    ``comp`` holds d-r column-orthonormal columns spanning the complement of
+    the flat's direction space, so this needs no basis of the flat itself.
+    """
+    C = np.array([list(col) for col in comp], dtype=float).T
+    d = C.shape[0]
+    if len(x) != d or len(p) != d:
+        raise DimensionMismatchError("point, offset, and complement dimensions differ")
+    if not np.allclose(C.T @ C, np.eye(C.shape[1]), atol=tol):
+        raise RankDeficiencyError("complement matrix is not column-orthonormal")
+    y = C.T @ (np.asarray(x, dtype=float) - np.asarray(p, dtype=float))
+    return float(y @ y)
 
 
 def x_axis():
@@ -53,18 +68,20 @@ def test_complement_form_trivial_cases():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6))
-def test_complement_form_agrees_with_primal(seed):
+@given(st.integers(0, 10**6), st.integers(2, 4), st.integers(0, 3))
+def test_complement_form_agrees_with_primal(seed, d, r):
+    r = min(r, d - 1)
     rng = np.random.default_rng(seed)
-    raw = rng.normal(size=(3, 1))
-    p = rng.normal(size=3)
+    raw = rng.normal(size=(d, r))
+    p = rng.normal(size=d)
     flat = canonicalize_flat(raw.T, p)
     B = flat.basis_array()
     # Complement via the eigenvectors of I - B B^T with unit eigenvalue.
-    M = np.eye(3) - B @ B.T
+    M = np.eye(d) - B @ B.T
     w, V = np.linalg.eigh(M)
     C = V[:, np.abs(w - 1.0) < 1e-9]
-    x = rng.normal(size=3)
+    assert C.shape == (d, d - r)
+    x = rng.normal(size=d)
     lhs = dist2_point_flat(tuple(x), flat)
     rhs = dist2_point_complement_form(tuple(x), tuple(map(tuple, C.T)), flat.offset)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
@@ -170,7 +187,6 @@ def test_canonicalize_rational_irrational_norm_errors():
 
 
 def test_complement_form_rejects_non_orthonormal():
-    from flatcover.errors import RankDeficiencyError
     with pytest.raises(RankDeficiencyError):
         dist2_point_complement_form((1.0, 2.0), ((2.0, 0.0),), (0.0, 0.0))
 
