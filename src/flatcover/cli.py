@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
             print("unsupported witness kind for a ds_cover instance", file=sys.stderr)
             return 2
     else:  # "rmis": instance_from_obj refuses every other kind
-        report = audit_rmis_instance(inst, guard=args.guard)
+        report = audit_rmis_instance(inst)
         for name, ok in report.items():
             checks.append((f"audit: {name}", ok))
         if kind == "selection":
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         if output:
             p.add_argument("-o", "--output", default=None, help="output file")
         p.add_argument("--guard", type=int, default=None,
-                       help="cap on search nodes, reduction records or audited "
+                       help="cap on search nodes, reduce-ds coordinates or audited "
                             "vertices (also FLATCOVER_GUARD)")
 
     p = sub.add_parser("fit", help="optimal single flat")
@@ -343,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a witness against an instance")
     p.add_argument("instance")
     p.add_argument("witness")
-    common(p, output=False)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gen", help="instance generators")

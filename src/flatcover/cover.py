@@ -20,8 +20,10 @@ It hashes hyperplanes by gcd-normalised integer keys, one anchor position at
 a time, and stops at the first hyperplane that holds ceil(n/k) positions,
 since the cut cannot fire after that.  For d >= 4 the d-subsets per anchor
 are too many to hash, so the search runs without it.  The hashing is not
-counted against the node guard.  The same keys group point pairs into lines
-in the d=2 forced-line kernel.
+counted against the node guard; instead the cut runs only when it hashes at
+most CUT_KEY_LIMIT combinations, and larger clouds go straight to the
+guarded search.  The same keys group point pairs into lines in the d=2
+forced-line kernel.
 
 ``generate_candidates`` enumerates every hyperplane spanned by at most d
 positions; it is kept as the reference oracle the tests compare against.
@@ -49,6 +51,10 @@ from .geometry import (
     WeightedPointCloud,
 )
 from .util import DEFAULT_CANDIDATE_GUARD, DEFAULT_NODE_GUARD, resolve_guard
+
+# Cap on the (anchor, d-1 later positions) combinations the counting cut may
+# hash, a few seconds of work; above it the cut is skipped.
+CUT_KEY_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,8 @@ def solve_cover(cloud: WeightedPointCloud, k: int, *,
     distinct positions (checked for d <= 3 and n > k*d, stopping at the first
     hyperplane that holds enough), or the search explores its space
     exhaustively.  ``guard`` caps the nodes the search may visit; exceeding
-    it raises GuardLimitError.  The cut's hashing does not count as nodes.
+    it raises GuardLimitError.  The cut's hashing does not count as nodes;
+    it runs only when it hashes at most CUT_KEY_LIMIT combinations.
     """
     _require_rational(cloud, "solve_cover")
     if k < 0:
@@ -173,7 +180,8 @@ def _some_plane_holds(pts, target):
     spanned by d of them, so it suffices to hash the hyperplanes through
     each anchor and d-1 later points; anchoring at the hyperplane's first
     point finds all its members.  Anchors with fewer than target-1 later
-    points cannot reach the target and are skipped.
+    points cannot reach the target and are skipped, so at most
+    C(n, d) - C(target-1, d) combinations are hashed.
     """
     n, d = len(pts), len(pts[0])
     for a in range(n - target + 1):
@@ -202,7 +210,11 @@ def _some_plane_holds(pts, target):
 def _solve_partition(positions, d, k, guard):
     pts = integer_points(positions)
     n = len(pts)
-    if 2 <= d <= 3 and n > k * d and not _some_plane_holds(pts, -(-n // k)):
+    target = -(-n // k)
+    # The cut's hashing, bounded by its worst case C(n, d) - C(target-1, d).
+    if (2 <= d <= 3 and n > k * d
+            and math.comb(n, d) - math.comb(target - 1, d) <= CUT_KEY_LIMIT
+            and not _some_plane_holds(pts, target)):
         return None
     cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
     nodes = 0

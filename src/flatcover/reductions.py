@@ -36,7 +36,7 @@ from .geometry import (
     PointRecord,
     WeightedPointCloud,
 )
-from .util import DEFAULT_NODE_GUARD, resolve_guard
+from .util import DEFAULT_COORD_GUARD, DEFAULT_NODE_GUARD, resolve_guard
 
 # Instances whose record count exceeds this are kept in counts-only form.
 MATERIALIZE_RECORD_LIMIT = 500_000
@@ -154,8 +154,8 @@ def ds_to_hyperplane_cover(g: ColoredGraph, k_prime: int, *,
     rejected unless ``allow_trivial`` is set (the construction itself stays
     sound, only the hardness content evaporates).
 
-    ``guard`` caps the d^2*k' records; a larger instance raises
-    GuardLimitError before any record is built.
+    ``guard`` caps the d^3*k' coordinates (default DEFAULT_COORD_GUARD); a
+    larger instance raises GuardLimitError before any record is built.
     """
     d = g.n_vertices
     if d <= 1:
@@ -168,10 +168,10 @@ def ds_to_hyperplane_cover(g: ColoredGraph, k_prime: int, *,
                 raise ValueError(
                     f"vertex {v} is adjacent to all others; the instance "
                     "would be trivial (pass allow_trivial to build it anyway)")
-    cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
-    if d * d * k_prime > cap:
+    cap = resolve_guard(DEFAULT_COORD_GUARD, guard)
+    if d ** 3 * k_prime > cap:
         raise GuardLimitError(
-            f"instance too large: d^2*k' = {d * d * k_prime} records exceed {cap}")
+            f"instance too large: d^3*k' = {d ** 3 * k_prime} coordinates exceed {cap}")
     rows_per_vertex = d * k_prime
     records = []
     groups = {}

@@ -12,6 +12,10 @@ import numpy as np
 # visit; exceeding it raises GuardLimitError, never degrades to a heuristic.
 DEFAULT_NODE_GUARD = 10**7
 
+# Cap on the coordinates a reduction may build (d^3*k' for reduce-ds).  Each
+# is an exact big integer; 432,000 of them at d=60 took 288 MB.
+DEFAULT_COORD_GUARD = 5 * 10**5
+
 # Cap on n^d for candidate-hyperplane generation.
 DEFAULT_CANDIDATE_GUARD = 10**7
 

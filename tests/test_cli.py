@@ -515,14 +515,23 @@ def assert_guard_exit(capsys):
     assert "Traceback" not in err
 
 
-def test_reduce_ds_guard_caps_records_before_building(tmp_path, capsys):
-    # A 60-vertex path graph with k' = 2 needs 60^2 * 2 = 7200 records of 60
-    # Fractions each, seconds of work and hundreds of MB.
-    argv, _ = reduction_cases()["reduce-ds"]
-    docs = {"graph": fio.graph_to_obj(path_graph(60))}
-    assert run_reduction_case(str(tmp_path), argv + ["--guard", "1000"], docs) == 3
+def test_reduce_ds_guard_caps_coordinates_before_building(tmp_path, capsys):
+    # A 60-vertex path graph with k' = 2 needs 60^3 * 2 = 432,000 coordinates,
+    # seconds of work and hundreds of MB.
+    argv, docs = reduction_cases()["reduce-ds"]
+    big = {"graph": fio.graph_to_obj(path_graph(60))}
+    assert run_reduction_case(str(tmp_path), argv + ["--guard", "1000"], big) == 3
     assert_guard_exit(capsys)
     assert not os.path.exists(tmp_path / "out.json")
+    # The default cap refuses 64^3 * 2 = 524,288 coordinates.
+    big = {"graph": fio.graph_to_obj(path_graph(64))}
+    assert run_reduction_case(str(tmp_path), argv, big) == 3
+    assert_guard_exit(capsys)
+    assert not os.path.exists(tmp_path / "out.json")
+    # The 4-vertex path builds 4^3 * 2 = 128 coordinates.
+    assert run_reduction_case(str(tmp_path), argv + ["--guard", "127"], docs) == 3
+    assert_guard_exit(capsys)
+    assert run_reduction_case(str(tmp_path), argv + ["--guard", "128"], docs) == 0
 
 
 def test_verify_guard_caps_counts_only_audit(tmp_path, capsys):
@@ -548,8 +557,9 @@ def json_paths(doc, prefix=()):
 
 # Junk for the reduction inputs.  Size fields (a graph's n, an instance's nu)
 # scale the work of a reduction or an audit.  The guard bounds only reduce-ds's
-# d^2*k' records and the counts-only audit's n, and its default still admits
-# minutes of work, so junk integers stay small here.
+# d^3*k' coordinates and the counts-only audit's n, and its defaults still
+# admit seconds of work and hundreds of MB per case, so junk integers stay
+# small here.
 SMALL_JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-9, 9) | st.floats()
     | st.sampled_from(["", "x", "3", "-1", "1/2", "2.5", "1/0"]),

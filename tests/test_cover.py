@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -262,6 +263,31 @@ def test_counting_cut_answers_general_position_no_at_guard_1(d, n, k):
     cloud = rcloud([tuple(t ** e for e in range(1, d + 1)) for t in range(1, n + 1)])
     assert solve_cover(cloud, k, guard=1) is None
     assert solve_cover(cloud, k + 1) is not None
+
+
+@pytest.mark.parametrize("d,n,k", [(2, 15, 7), (3, 13, 4)])
+def test_counting_cut_hashing_is_capped(monkeypatch, d, n, k):
+    # With no plane reaching the target the cut hashes exactly
+    # C(n, d) - C(target-1, d) combinations.  Above CUT_KEY_LIMIT it is
+    # skipped, and the node guard bounds the search that runs instead.
+    cloud = rcloud([tuple(t ** e for e in range(1, d + 1)) for t in range(1, n + 1)])
+    keys = math.comb(n, d) - math.comb(-(-n // k) - 1, d)
+    hashed = 0
+    plane_key = cover._plane_key
+
+    def counting_plane_key(base, spans):
+        nonlocal hashed
+        hashed += 1
+        return plane_key(base, spans)
+
+    monkeypatch.setattr(cover, "_plane_key", counting_plane_key)
+    monkeypatch.setattr(cover, "CUT_KEY_LIMIT", keys)
+    assert solve_cover(cloud, k, guard=1) is None
+    assert hashed == keys
+    monkeypatch.setattr(cover, "CUT_KEY_LIMIT", keys - 1)
+    with pytest.raises(GuardLimitError):
+        solve_cover(cloud, k, guard=1)
+    assert hashed == keys
 
 
 def test_counting_cut_keeps_collinear_3d_clouds():
