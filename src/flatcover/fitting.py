@@ -20,7 +20,6 @@ import numpy as np
 from .errors import AffineDependenceError, DimensionMismatchError, ScalarModeError
 from .geometry import (
     MODE_FLOAT,
-    MODE_RATIONAL,
     AffineFlat,
     Hyperplane,
     WeightedPointCloud,
@@ -43,20 +42,12 @@ class FitResult:
 
 
 def centroid(cloud: WeightedPointCloud):
-    """Weighted mean of the cloud; exact in rational mode."""
+    """Weighted mean of a float-mode cloud."""
     if not cloud.records:
         raise ValueError("centroid of an empty cloud")
-    if cloud.mode == MODE_FLOAT:
-        X = cloud.coords_array()
-        w = cloud.weights_array()
-        return tuple((w @ X) / w.sum())
-    total = Fraction(0)
-    acc = [Fraction(0)] * cloud.dim
-    for rec in cloud.records:
-        total += rec.mult
-        for i, c in enumerate(rec.coords):
-            acc[i] += rec.mult * Fraction(c)
-    return tuple(a / total for a in acc)
+    X = cloud.coords_array()
+    w = cloud.weights_array()
+    return tuple((w @ X) / w.sum())
 
 
 def _sorted_eig(S: np.ndarray):
@@ -86,8 +77,8 @@ def best_fit_flat(cloud: WeightedPointCloud, r: int) -> FitResult:
     so permuting input records cannot change the fitted flat.
     """
     if cloud.mode != MODE_FLOAT:
-        raise ScalarModeError("best_fit_flat operates on float-mode clouds; "
-                              "convert explicitly with cloud.to_float()")
+        raise ScalarModeError(f"best_fit_flat needs a float-mode cloud, got a "
+                              f"{cloud.mode} one")
     if not cloud.records:
         raise ValueError("cannot fit a flat to an empty cloud")
     d = cloud.dim

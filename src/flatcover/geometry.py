@@ -1,6 +1,6 @@
 """Shared geometric data model and distance primitives.
 
-All quantities live in one of two scalar regimes:
+Point clouds live in one of two scalar regimes:
 
 * ``"rational"`` - exact arbitrary-precision rationals (``fractions.Fraction``,
   always in lowest terms with positive denominator).  Used by the cover
@@ -8,7 +8,11 @@ All quantities live in one of two scalar regimes:
 * ``"float"`` - IEEE binary64.  Used by the clustering numerics, which have
   no closed rational form.
 
-No operation silently mixes regimes; mixing raises :class:`ScalarModeError`.
+Affine flats are float-only: the clustering objective over r-flats is float
+numerics throughout.  The exact objects are :class:`Hyperplane` for covers
+and the axis-parallel ``reductions.AxisLine``, whose exact line cost is
+``reductions.exact_cloud_cost``.  No operation silently mixes regimes; a
+rational point or cloud against a flat raises :class:`ScalarModeError`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .errors import (
     RankDeficiencyError,
     ScalarModeError,
 )
-from .util import fraction_sqrt
 
 Scalar = Union[Fraction, float]
 
@@ -60,15 +63,11 @@ def parse_scalar(text, mode: str) -> Scalar:
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 
-def format_scalar(value: Scalar):
-    """Inverse of :func:`parse_scalar`; denominators of 1 are omitted."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, int):
-        return str(value)
-    return float(value)
+def format_scalar(value: Fraction) -> str:
+    """Inverse of :func:`parse_scalar` in rational mode; denominators of 1 are omitted."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def _coerce(value, mode: str) -> Scalar:
@@ -128,22 +127,11 @@ class WeightedPointCloud:
     def total_weight(self) -> int:
         return sum(r.mult for r in self.records)
 
-    def positions(self) -> list:
-        return [r.coords for r in self.records]
-
     def distinct_positions(self) -> list:
         seen = {}
         for r in self.records:
             seen.setdefault(r.coords, None)
         return list(seen)
-
-    def to_float(self) -> "WeightedPointCloud":
-        """Explicit regime conversion; the only sanctioned rational-to-float path."""
-        if self.mode == MODE_FLOAT:
-            return self
-        recs = tuple(PointRecord(tuple(float(c) for c in r.coords), r.mult)
-                     for r in self.records)
-        return WeightedPointCloud(self.dim, MODE_FLOAT, recs)
 
     def coords_array(self) -> np.ndarray:
         if self.mode != MODE_FLOAT:
@@ -158,15 +146,11 @@ class WeightedPointCloud:
             raise ValueError("a multiplicity is beyond the float64 range") from None
 
 
-def _require_same_mode(mode_a: str, mode_b: str, what: str) -> None:
-    if mode_a != mode_b:
-        raise ScalarModeError(f"{what}: cannot mix {mode_a} and {mode_b} operands")
-
-
 @dataclass(frozen=True)
 class AffineFlat:
-    """r-flat in canonical form: column-orthonormal basis, offset orthogonal to it.
+    """Float r-flat in canonical form: column-orthonormal basis, offset orthogonal to it.
 
+    ``mode`` must be ``MODE_FLOAT``; any other value raises ScalarModeError.
     The canonical constraint B^T p = 0 makes the projector form
     ``|x - p - B B^T x|^2`` and the residual form ``|(I - B B^T)(x - p)|^2``
     agree, so either may be used for distances.
@@ -179,6 +163,8 @@ class AffineFlat:
     mode: str = MODE_FLOAT
 
     def __post_init__(self):
+        if self.mode != MODE_FLOAT:
+            raise ScalarModeError(f"affine flats are float-only, got mode {self.mode!r}")
         d, r = self.dim_ambient, self.dim_flat
         if not (0 <= r <= d - 1):
             raise ValueError(f"flat dimension must satisfy 0 <= r <= d-1, got r={r}, d={d}")
@@ -190,31 +176,13 @@ class AffineFlat:
             raise DimensionMismatchError("offset length must equal ambient dimension")
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "offset", offset)
-        self._validate()
-
-    def _validate(self):
-        if self.mode == MODE_FLOAT:
+        if r:
             B = self.basis_array()
-            if self.dim_flat:
-                gram = B.T @ B
-                if not np.allclose(gram, np.eye(self.dim_flat), atol=1e-8):
-                    raise RankDeficiencyError("basis is not column-orthonormal")
-                if np.max(np.abs(B.T @ np.array(self.offset))) > 1e-6 * max(
-                        1.0, float(np.max(np.abs(self.offset)))):
-                    raise ValueError("offset has a component inside the basis span")
-        else:
-            for col in self.basis + (self.offset,):
-                for c in col:
-                    if isinstance(c, float):
-                        raise ScalarModeError("float entry in a rational-mode flat")
-            for i, ci in enumerate(self.basis):
-                for j in range(i, len(self.basis)):
-                    dot = sum(a * b for a, b in zip(ci, self.basis[j]))
-                    want = 1 if i == j else 0
-                    if dot != want:
-                        raise RankDeficiencyError("rational basis is not exactly orthonormal")
-                if sum(a * b for a, b in zip(ci, self.offset)) != 0:
-                    raise ValueError("rational offset not orthogonal to basis")
+            if not np.allclose(B.T @ B, np.eye(r), atol=1e-8):
+                raise RankDeficiencyError("basis is not column-orthonormal")
+            if np.max(np.abs(B.T @ np.array(offset))) > 1e-6 * max(
+                    1.0, float(np.max(np.abs(offset)))):
+                raise ValueError("offset has a component inside the basis span")
 
     def basis_array(self) -> np.ndarray:
         return np.array(self.basis, dtype=float).T.reshape(self.dim_ambient, self.dim_flat)
@@ -284,7 +252,7 @@ class ClusteringSolution:
 
     flats: tuple
     assignment: tuple
-    cost: Scalar
+    cost: float
     budget_decision: bool | None = None
 
     def __post_init__(self):
@@ -310,31 +278,22 @@ def dist2_point_flat(x: Sequence, flat: AffineFlat) -> Scalar:
     """Squared Euclidean distance from a point to a canonical flat.
 
     Evaluated as |(I - B B^T)(x - p)|^2, which equals |x - p - B B^T x|^2
-    under the canonical invariant B^T p = 0.  Returns 0 exactly when x lies
-    on the flat (up to float roundoff in float mode).
+    under the canonical invariant B^T p = 0.  Returns 0 when x lies on the
+    flat, up to float roundoff.
     """
     if len(x) != flat.dim_ambient:
         raise DimensionMismatchError(
             f"point of dim {len(x)} against flat in dim {flat.dim_ambient}")
-    if flat.mode == MODE_FLOAT:
-        if any(isinstance(c, Fraction) for c in x):
-            raise ScalarModeError("rational point against a float-mode flat")
-        y = np.asarray(x, dtype=float) - flat.offset_array()
-        if flat.dim_flat:
-            B = flat.basis_array()
-            y = y - B @ (B.T @ y)
-        return float(y @ y)
-    if any(isinstance(a, float) for a in x):
-        raise ScalarModeError("float point against a rational-mode flat")
-    diff = [Fraction(a) - b for a, b in zip(x, flat.offset)]
-    for col in flat.basis:
-        t = sum(a * b for a, b in zip(col, diff))
-        diff = [a - t * b for a, b in zip(diff, col)]
-    return sum(a * a for a in diff)
+    if any(isinstance(c, Fraction) for c in x):
+        raise ScalarModeError("rational point against a float flat")
+    y = np.asarray(x, dtype=float) - flat.offset_array()
+    if flat.dim_flat:
+        B = flat.basis_array()
+        y = y - B @ (B.T @ y)
+    return float(y @ y)
 
 
-def canonicalize_flat(raw_basis: Sequence[Sequence], raw_offset: Sequence,
-                      mode: str = MODE_FLOAT) -> AffineFlat:
+def canonicalize_flat(raw_basis: Sequence[Sequence], raw_offset: Sequence) -> AffineFlat:
     """Build a canonical AffineFlat from any spanning basis and offset.
 
     Orthonormalizes the basis by modified Gram-Schmidt in column order and
@@ -346,67 +305,42 @@ def canonicalize_flat(raw_basis: Sequence[Sequence], raw_offset: Sequence,
     r = len(cols)
     if any(len(c) != d for c in cols):
         raise DimensionMismatchError("basis columns and offset have different lengths")
-    if mode == MODE_FLOAT:
-        B = np.array(cols, dtype=float).T.reshape(d, r)
-        ortho = []
-        scale = max(1.0, float(np.max(np.abs(B)))) if r else 1.0
-        for j in range(r):
-            v = B[:, j].copy()
-            for u in ortho:
-                v -= (u @ v) * u
-            nrm = float(np.linalg.norm(v))
-            if nrm <= 1e-12 * scale:
-                raise RankDeficiencyError("raw basis is rank-deficient")
-            ortho.append(v / nrm)
-        p = np.asarray(raw_offset, dtype=float).copy()
+    B = np.array(cols, dtype=float).T.reshape(d, r)
+    ortho = []
+    scale = max(1.0, float(np.max(np.abs(B)))) if r else 1.0
+    for j in range(r):
+        v = B[:, j].copy()
         for u in ortho:
-            p -= (u @ p) * u
-        return AffineFlat(d, r, tuple(tuple(u) for u in ortho), tuple(p), MODE_FLOAT)
-
-    vecs = [[Fraction(c) for c in col] for col in cols]
-    ortho_f: list[list[Fraction]] = []
-    for v in vecs:
-        w = list(v)
-        for u in ortho_f:
-            t = sum(a * b for a, b in zip(u, w))
-            w = [a - t * b for a, b in zip(w, u)]
-        nrm2 = sum(a * a for a in w)
-        if nrm2 == 0:
+            v -= (u @ v) * u
+        nrm = float(np.linalg.norm(v))
+        if nrm <= 1e-12 * scale:
             raise RankDeficiencyError("raw basis is rank-deficient")
-        nrm = fraction_sqrt(nrm2)
-        if nrm is None:
-            raise ScalarModeError(
-                "basis cannot be orthonormalized exactly in rational mode "
-                "(irrational column norm)")
-        ortho_f.append([a / nrm for a in w])
-    p_f = [Fraction(c) for c in raw_offset]
-    for u in ortho_f:
-        t = sum(a * b for a, b in zip(u, p_f))
-        p_f = [a - t * b for a, b in zip(p_f, u)]
-    return AffineFlat(d, r, tuple(tuple(u) for u in ortho_f), tuple(p_f), MODE_RATIONAL)
+        ortho.append(v / nrm)
+    p = np.asarray(raw_offset, dtype=float).copy()
+    for u in ortho:
+        p -= (u @ p) * u
+    return AffineFlat(d, r, tuple(tuple(u) for u in ortho), tuple(p), MODE_FLOAT)
 
 
-def total_cost(cloud: WeightedPointCloud, flats: Sequence[AffineFlat]) -> Scalar:
-    """Sum over records of multiplicity times squared distance to the nearest flat."""
+def total_cost(cloud: WeightedPointCloud, flats: Sequence[AffineFlat]) -> float:
+    """Sum over records of multiplicity times squared distance to the nearest flat.
+
+    The cloud must be float-mode; exact costs of axis-parallel lines on a
+    rational cloud are ``reductions.exact_cloud_cost``.
+    """
     flats = list(flats)
     if not flats:
         raise ValueError("total_cost requires at least one flat")
     for f in flats:
-        _require_same_mode(cloud.mode, f.mode, "total_cost")
         if f.dim_ambient != cloud.dim:
             raise DimensionMismatchError("flat and cloud dimensions differ")
-    if cloud.mode == MODE_FLOAT:
-        X = cloud.coords_array()
-        w = cloud.weights_array()
-        best = np.full(len(cloud.records), np.inf)
-        for f in flats:
-            Y = X - f.offset_array()
-            if f.dim_flat:
-                B = f.basis_array()
-                Y = Y - (Y @ B) @ B.T
-            best = np.minimum(best, np.einsum("ij,ij->i", Y, Y))
-        return float(w @ best)
-    acc = Fraction(0)
-    for rec in cloud.records:
-        acc += rec.mult * min(dist2_point_flat(rec.coords, f) for f in flats)
-    return acc
+    X = cloud.coords_array()
+    w = cloud.weights_array()
+    best = np.full(len(cloud.records), np.inf)
+    for f in flats:
+        Y = X - f.offset_array()
+        if f.dim_flat:
+            B = f.basis_array()
+            Y = Y - (Y @ B) @ B.T
+        best = np.minimum(best, np.einsum("ij,ij->i", Y, Y))
+    return float(w @ best)

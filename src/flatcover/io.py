@@ -18,7 +18,6 @@ from . import __version__
 from .geometry import (
     MODE_FLOAT,
     MODE_RATIONAL,
-    AffineFlat,
     ClusteringSolution,
     CoverSolution,
     Hyperplane,
@@ -223,8 +222,7 @@ def clustering_solution_to_obj(sol: ClusteringSolution, r: int) -> dict:
     return {
         "k": len(sol.flats),
         "r": r,
-        "cost": format_scalar(sol.cost) if isinstance(sol.cost, (Fraction, int))
-        else float(sol.cost),
+        "cost": float(sol.cost),
         "flats": [{"basis": [[float(c) for c in col] for col in f.basis],
                    "offset": [float(c) for c in f.offset]} for f in sol.flats],
         "assignment": list(sol.assignment),
@@ -410,6 +408,9 @@ def instance_from_obj(data: dict):
                 name: _pair(se, "a family slice")
                 for name, se in _object(slices, "family_slices").items()},
         }
+        if meta["graph"].n_vertices != params.n:
+            raise ValueError(f"params.n is {params.n} but the instance graph has "
+                             f"{meta['graph'].n_vertices} vertices")
         # Line tables are ell rows of nu coordinates, indexed [i-1][j-1].
         for name in ("h_y", "v_x", "s_x"):
             rows = [_ints(row, name) for row in _list(m[name], name)]

@@ -1,10 +1,8 @@
-"""Small shared helpers: guards, RNG construction, exact square roots."""
+"""Small shared helpers: guards and RNG construction."""
 
 from __future__ import annotations
 
-import math
 import os
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,20 +43,3 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(seq))
 
-
-def fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        raise ValueError("square root of negative rational")
-    num = _isqrt_exact(x.numerator)
-    if num is None:
-        return None
-    den = _isqrt_exact(x.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _isqrt_exact(n: int) -> int | None:
-    r = math.isqrt(n)
-    return r if r * r == n else None

@@ -319,6 +319,39 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
         assert err == f"error: missing field '{field}'\n"
 
 
+def test_verify_refuses_rmis_n_unlike_its_graph(tmp_path, capsys):
+    gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
+    assert run(["gen", "matching-graph", "--ell", "2", "--nu", "4", "-o", str(gpath)]) == 0
+    assert run(["reduce-rmis", str(gpath), "--materialize", "no", "-o", str(ipath)]) == 0
+    inst = read_json(ipath)
+    inst["params"]["n"] = "20"
+    ipath.write_text(json.dumps(inst))
+    wpath = tmp_path / "witness.json"
+    wpath.write_text(json.dumps({"kind": "selection", "indices": [4, 5]}))
+    assert run(["verify", str(ipath), str(wpath)]) == 2
+    assert "params.n is 20" in assert_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cover", "{float_cloud}", "-k", "1", "-o", "{out}"], "rational-mode cloud"),
+    (["gen", "random-exact", "--format", "csv", "-o", "{out}"], "CSV output"),
+    (["gen", "matching-graph", "--format", "csv", "-o", "{out}"], "CSV output"),
+    (["verify", "{ds_inst}", "{selection}"], "got selection"),
+], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection"])
+def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
+    docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
+            "ds_inst": reduction_cases()["verify-ds"][1]["inst"],
+            "selection": {"kind": "selection", "indices": [1, 2]}}
+    paths = {"out": str(tmp_path / "out")}
+    for role, doc in docs.items():
+        paths[role] = str(tmp_path / f"{role}.json")
+        with open(paths[role], "w") as fh:
+            json.dump(doc, fh)
+    assert run([a.format(**paths) for a in argv]) == 2
+    assert message in assert_usage_error(capsys)
+    assert not os.path.exists(paths["out"])
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=4)
@@ -536,8 +569,10 @@ def test_reduce_ds_guard_caps_coordinates_before_building(tmp_path, capsys):
 
 def test_verify_guard_caps_counts_only_audit(tmp_path, capsys):
     # The counts-only audit loops over the n vertices read from the file.
+    # params.n must equal the instance graph's n, so both claim 10^12.
     argv, docs = reduction_cases()["verify-rmis"]
     inst = replaced(replaced(docs["inst"], ("cloud",), None), ("params", "n"), str(10**12))
+    inst = replaced(inst, ("meta", "graph"), {"n": 10**12, "edges": []})
     assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 3
     assert_guard_exit(capsys)
 

@@ -52,9 +52,10 @@ def test_centroid_respects_multiplicity():
         pytest.approx((1.0, 0.0))
 
 
-def test_centroid_exact_in_rational_mode():
+def test_centroid_refuses_rational_cloud():
     cloud = WeightedPointCloud.create([(0, 0), (4, 0)], MODE_RATIONAL, [3, 1])
-    assert centroid(cloud) == (Fraction(1), Fraction(0))
+    with pytest.raises(ScalarModeError):
+        centroid(cloud)
 
 
 def test_centroid_empty_cloud():

@@ -113,38 +113,16 @@ def test_canonicalize_preserves_membership(seed):
         assert dist2_point_flat(tuple(x), flat) <= 1e-18 * max(1.0, float(x @ x)) + 1e-18
 
 
-def test_rational_mode_exactness():
-    # 3-4-5 rotation keeps orthonormality exactly rational.
-    f = AffineFlat(2, 1, ((Fraction(3, 5), Fraction(4, 5)),), (Fraction(0), Fraction(0)),
-                   MODE_RATIONAL)
-    d2 = dist2_point_flat((Fraction(4), Fraction(-3)), f)
-    assert d2 == 25
-    assert dist2_point_flat((Fraction(3), Fraction(4)), f) == 0
-
-
-def test_rational_rebasis_is_exactly_invariant():
-    # The same plane in R^3 under two rational orthonormal bases related by
-    # a 3-4-5 rotation: distances agree exactly, not just to tolerance.
-    e1 = (Fraction(3, 5), Fraction(4, 5), Fraction(0))
-    e2 = (Fraction(0), Fraction(0), Fraction(1))
-    mixed1 = tuple(Fraction(3, 5) * a - Fraction(4, 5) * b for a, b in zip(e1, e2))
-    mixed2 = tuple(Fraction(4, 5) * a + Fraction(3, 5) * b for a, b in zip(e1, e2))
-    p = (Fraction(0), Fraction(0), Fraction(0))
-    fa = AffineFlat(3, 2, (e1, e2), p, MODE_RATIONAL)
-    fb = AffineFlat(3, 2, (mixed1, mixed2), p, MODE_RATIONAL)
-    for x in ((Fraction(1), Fraction(2), Fraction(3)),
-              (Fraction(-7), Fraction(1, 3), Fraction(5))):
-        assert dist2_point_flat(x, fa) == dist2_point_flat(x, fb)
-
-
 def test_mode_mixing_is_an_error():
     f = x_axis()
     with pytest.raises(ScalarModeError):
         dist2_point_flat((Fraction(1), Fraction(2)), f)
-    g = AffineFlat(2, 1, ((Fraction(1), Fraction(0)),), (Fraction(0), Fraction(0)),
+    # Flats are float-only: a rational flat cannot be built at all.
+    with pytest.raises(ScalarModeError):
+        AffineFlat(2, 1, ((Fraction(1), Fraction(0)),), (Fraction(0), Fraction(0)),
                    MODE_RATIONAL)
     with pytest.raises(ScalarModeError):
-        dist2_point_flat((1.0, 2.0), g)
+        total_cost(WeightedPointCloud.create([(1, 2)], MODE_RATIONAL), [f])
 
 
 def test_dimension_mismatch_is_an_error():
@@ -169,37 +147,9 @@ def test_rebasis_invariance(seed):
     assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
-def test_canonicalize_rational_mode_exact():
-    f = canonicalize_flat([(Fraction(2), Fraction(0))], (Fraction(7), Fraction(3)),
-                          mode=MODE_RATIONAL)
-    assert f.basis == ((Fraction(1), Fraction(0)),)
-    assert f.offset == (Fraction(0), Fraction(3))
-    # 3-4-5 direction has an exact rational norm too.
-    g = canonicalize_flat([(Fraction(3), Fraction(4))], (Fraction(0), Fraction(0)),
-                          mode=MODE_RATIONAL)
-    assert g.basis == ((Fraction(3, 5), Fraction(4, 5)),)
-
-
-def test_canonicalize_rational_irrational_norm_errors():
-    with pytest.raises(ScalarModeError):
-        canonicalize_flat([(Fraction(1), Fraction(1))], (Fraction(0), Fraction(0)),
-                          mode=MODE_RATIONAL)
-
-
 def test_complement_form_rejects_non_orthonormal():
     with pytest.raises(RankDeficiencyError):
         dist2_point_complement_form((1.0, 2.0), ((2.0, 0.0),), (0.0, 0.0))
-
-
-def test_total_cost_exact_for_axis_aligned_rational_flats():
-    cloud = WeightedPointCloud.create([(0, 1), (0, 9)], MODE_RATIONAL, [3, 2])
-    line0 = AffineFlat(2, 1, ((Fraction(1), Fraction(0)),),
-                       (Fraction(0), Fraction(0)), MODE_RATIONAL)
-    line10 = AffineFlat(2, 1, ((Fraction(1), Fraction(0)),),
-                        (Fraction(0), Fraction(10)), MODE_RATIONAL)
-    cost = total_cost(cloud, [line0, line10])
-    assert cost == Fraction(5)
-    assert isinstance(cost, Fraction)
 
 
 def make_cloud(points, mults=None, mode=MODE_FLOAT):

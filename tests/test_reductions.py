@@ -306,6 +306,23 @@ def test_exact_cost_trivial_cases():
         exact_cloud_cost(cloud, [])
 
 
+def test_exact_cloud_cost_takes_the_nearest_line():
+    cloud = WeightedPointCloud.create([(0, 1), (0, 9)], MODE_RATIONAL, [3, 2])
+    cost = exact_cloud_cost(cloud, [AxisLine("h", 0), AxisLine("h", 10)])
+    assert cost == Fraction(5)
+    assert isinstance(cost, Fraction)
+
+
+def test_exact_cloud_cost_mixes_vertical_and_horizontal_lines():
+    # (1, 5) is 1 from x = 0; (7/2, 9) is 1/2 from x = 4; (6, 1/3) is 1/3
+    # from y = 0 and 2 from x = 4.
+    cloud = WeightedPointCloud.create(
+        [(1, 5), (Fraction(7, 2), 9), (6, Fraction(1, 3))], MODE_RATIONAL, [2, 4, 9])
+    cost = exact_cloud_cost(cloud, [AxisLine("v", 0), AxisLine("h", 0), AxisLine("v", 4)])
+    assert cost == 2 * 1 + 4 * Fraction(1, 4) + 9 * Fraction(1, 9)
+    assert cost == Fraction(4)
+
+
 def test_desanitize_contract():
     inst = toy_instance()
     cloud, b_prime = desanitize_multiset(inst)
