@@ -184,13 +184,14 @@ def cmd_verify(args) -> int:
             raise ValueError(f"a ds_cover instance takes a dominating_set or cover "
                              f"witness, got {kind}")
     else:  # "rmis": instance_from_obj refuses every other kind
+        if kind != "selection":
+            raise ValueError(f"an rmis instance takes a selection witness, got {kind}")
         report = audit_rmis_instance(inst)
         for name, ok in report.items():
             checks.append((f"audit: {name}", ok))
-        if kind == "selection":
-            lines = independent_set_to_lines(inst, witness)
-            cost = exact_solution_cost(inst, lines)
-            checks.append((f"cost <= B ({cost} vs {inst.B})", cost <= inst.B))
+        lines = independent_set_to_lines(inst, witness)
+        cost = exact_solution_cost(inst, lines)
+        checks.append((f"cost <= B ({cost} vs {inst.B})", cost <= inst.B))
     all_ok = all(ok for _, ok in checks)
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -277,19 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"flatcover {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        if output:
-            p.add_argument("-o", "--output", default=None, help="output file")
-        p.add_argument("--guard", type=int, default=None,
-                       help="cap on search nodes, reduce-ds coordinates or audited "
-                            "vertices (also FLATCOVER_GUARD)")
+    def common(p, guard=True):
+        p.add_argument("-o", "--output", default=None, help="output file")
+        if guard:
+            p.add_argument("--guard", type=int, default=None,
+                           help="cap on search nodes, reduce-ds coordinates or audited "
+                                "vertices (also FLATCOVER_GUARD)")
 
     p = sub.add_parser("fit", help="optimal single flat")
     p.add_argument("input")
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--svg", default=None)
     p.add_argument("--csv-mult", action="store_true")
-    common(p)
+    common(p, guard=False)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("cluster", help="k-flat clustering")
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p)
+    common(p, guard=False)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("plot", help="render an SVG of a planar instance")

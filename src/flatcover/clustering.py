@@ -33,7 +33,7 @@ from .geometry import (
     MODE_FLOAT,
     ClusteringSolution,
     WeightedPointCloud,
-    dist2_point_flat,
+    dist2_rows,
 )
 from .util import DEFAULT_NODE_GUARD, make_rng, resolve_guard
 
@@ -53,36 +53,6 @@ def stirling2(n: int, k: int) -> int:
 
 def partition_count(n: int, k: int) -> int:
     return sum(stirling2(n, j) for j in range(1, k + 1))
-
-
-class PartitionIterator:
-    """Canonical enumeration of set partitions into at most k nonempty blocks.
-
-    Emits restricted growth strings in lexicographic order: record 0 is in
-    block 0 and a new block index is exactly one more than the maximum index
-    used so far.  Exactly stirling2(n, j) emitted strings use j blocks.
-    """
-
-    def __init__(self, n_records: int, k: int):
-        if n_records < 1 or k < 1:
-            raise ValueError("need n_records >= 1 and k >= 1")
-        self.n_records = n_records
-        self.k = k
-
-    def __iter__(self):
-        n, k = self.n_records, self.k
-        labels = [0] * n
-
-        def rec(i, used):
-            if i == n:
-                yield tuple(labels)
-                return
-            top = used + 1 if used < k else used
-            for b in range(top):
-                labels[i] = b
-                yield from rec(i + 1, max(used, b + 1))
-
-        yield from rec(1, 1)
 
 
 @dataclass(frozen=True)
@@ -113,15 +83,6 @@ def _fit_blocks(X, W, labels, r) -> list:
     labels = np.asarray(labels)
     return [fit_points(X[labels == b], W[labels == b], r)
             for b in range(labels.max() + 1)]
-
-
-def _dist2(X: np.ndarray, flat) -> np.ndarray:
-    """Squared distance from every row of X to a float-mode flat."""
-    Y = X - flat.offset_array()
-    if flat.dim_flat:
-        B = flat.basis_array()
-        Y = Y - (Y @ B) @ B.T
-    return np.einsum("ij,ij->i", Y, Y)
 
 
 # The d=3 closed form takes the eigenvalues of A = qI + pB from
@@ -295,16 +256,14 @@ def _search(X, W, k, r, guard, leaf) -> None:
     rec(1, 1, bcost[0])
 
 
-def solve_exact(cloud: WeightedPointCloud, k: int, r: int, budget: float | None = None,
+def solve_exact(cloud: WeightedPointCloud, k: int, r: int,
                 *, guard: int | None = None, prune: bool = True) -> ClusteringSolution:
     """Globally optimal k-flat clustering by canonical partition enumeration.
 
     Raises GuardLimitError when the search visits more nodes than the guard
     rather than silently degrading to a heuristic.  With ``prune`` the search
     skips branches whose accumulated block-fit cost already meets the
-    incumbent; pruned and unpruned runs return the same solution.  A
-    ``budget`` turns on decision mode: the returned optimum additionally
-    carries ``budget_decision = (cost <= budget)``.
+    incumbent; pruned and unpruned runs return the same solution.
     """
     _check_solver_args(cloud, k, r)
     X = cloud.coords_array()
@@ -327,18 +286,16 @@ def solve_exact(cloud: WeightedPointCloud, k: int, r: int, budget: float | None 
     flats = [f.flat for f in fits]
     flats += [flats[0]] * (k - len(flats))
     cost = float(sum(f.cost for f in fits))
-    return ClusteringSolution(tuple(flats), best_labels, cost,
-                              budget_decision=None if budget is None else cost <= budget)
+    return ClusteringSolution(tuple(flats), best_labels, cost)
 
 
 def is_voronoi_consistent(cloud: WeightedPointCloud, solution: ClusteringSolution,
                           tol: float = 1e-9) -> bool:
     """True iff every record's assigned flat attains the minimum distance (up to tol)."""
-    for rec, b in zip(cloud.records, solution.assignment):
-        dists = [dist2_point_flat(rec.coords, f) for f in solution.flats]
-        if dists[b] > min(dists) + tol:
-            return False
-    return True
+    X = cloud.coords_array()
+    D = np.column_stack([dist2_rows(X, f) for f in solution.flats])
+    assigned = D[np.arange(len(X)), list(solution.assignment)]
+    return bool(np.all(assigned <= D.min(axis=1) + tol))
 
 
 def count_consistent_partitions(cloud: WeightedPointCloud, k: int, r: int,
@@ -359,7 +316,7 @@ def count_consistent_partitions(cloud: WeightedPointCloud, k: int, r: int,
     def leaf(labels, total):
         nonlocal count
         flats = [f.flat for f in _fit_blocks(X, W, labels, r)]
-        nearest = np.argmin(np.column_stack([_dist2(X, f) for f in flats]), axis=1)
+        nearest = np.argmin(np.column_stack([dist2_rows(X, f) for f in flats]), axis=1)
         count += bool(np.array_equal(nearest, labels))
         return math.inf
 
@@ -379,7 +336,7 @@ def _heuristic_restart(X, W, k, r, config, stream):
     flats = [fit(sorted(rng.choice(n, size=m, replace=False))) for _ in range(k)]
     prev_cost = math.inf
     for _ in range(config.max_iter):
-        D = np.column_stack([_dist2(X, f) for f in flats])
+        D = np.column_stack([dist2_rows(X, f) for f in flats])
         assign = np.argmin(D, axis=1)  # ties resolve to the lowest flat index
         # Each flat's members in ascending record order, from one stable sort.
         sizes = np.bincount(assign, minlength=k)
@@ -389,7 +346,7 @@ def _heuristic_restart(X, W, k, r, config, stream):
             if len(members):
                 Xj = X[members]
                 flats[j] = fit_points(Xj, W[members], r).flat
-                resid[members] = _dist2(Xj, flats[j])
+                resid[members] = dist2_rows(Xj, flats[j])
         cost = float(W @ resid)
         # Reseed empty blocks from the records with the largest current
         # residuals (claimed in place: resid is rebuilt every round); a

@@ -24,9 +24,6 @@ counted against the node guard; instead the cut runs only when it hashes at
 most CUT_KEY_LIMIT combinations, and larger clouds go straight to the
 guarded search.  The same keys group point pairs into lines in the d=2
 forced-line kernel.
-
-``generate_candidates`` enumerates every hyperplane spanned by at most d
-positions; it is kept as the reference oracle the tests compare against.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
-    AffineDependenceError,
     DimensionMismatchError,
     GuardLimitError,
     IntegrityError,
@@ -50,22 +46,11 @@ from .geometry import (
     Hyperplane,
     WeightedPointCloud,
 )
-from .util import DEFAULT_CANDIDATE_GUARD, DEFAULT_NODE_GUARD, resolve_guard
+from .util import DEFAULT_NODE_GUARD, resolve_guard
 
 # Cap on the (anchor, d-1 later positions) combinations the counting cut may
 # hash, a few seconds of work; above it the cut is skipped.
 CUT_KEY_LIMIT = 10**6
-
-
-@dataclass(frozen=True)
-class CandidateHyperplane:
-    """A candidate plane together with exactly the records lying on it."""
-
-    hyperplane: Hyperplane
-    covered: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "covered", tuple(sorted(self.covered)))
 
 
 def _require_rational(cloud: WeightedPointCloud, what: str) -> None:
@@ -83,39 +68,6 @@ def verify_cover(cloud: WeightedPointCloud, hyperplanes: Sequence[Hyperplane]) -
         if not any(h.contains(pos) for h in hyperplanes):
             return False
     return True
-
-
-def generate_candidates(cloud: WeightedPointCloud,
-                        guard: int | None = None) -> list[CandidateHyperplane]:
-    """All hyperplanes spanned by <= d affinely independent distinct positions.
-
-    Complete in the sense that for any hyperplane H, some candidate's covered
-    set contains H's covered set (take a maximal affinely independent subset
-    of it).  Candidates are deduplicated by normalized coefficient vector.
-    """
-    _require_rational(cloud, "generate_candidates")
-    positions = cloud.distinct_positions()
-    d = cloud.dim
-    n = len(positions)
-    cap = resolve_guard(DEFAULT_CANDIDATE_GUARD, guard)
-    if n > 1 and n ** d > cap:
-        raise GuardLimitError(
-            f"instance too large for exact mode: n^d = {n ** d} exceeds guard {cap}")
-    seen: dict[tuple, Hyperplane] = {}
-    for size in range(1, min(d, n) + 1):
-        for subset in itertools.combinations(range(n), size):
-            try:
-                h = fit_hyperplane_exact([positions[i] for i in subset])
-            except AffineDependenceError:
-                continue
-            seen.setdefault(h.coeffs, h)
-    out = []
-    for h in seen.values():
-        covered = tuple(i for i, rec in enumerate(cloud.records)
-                        if h.contains(rec.coords))
-        out.append(CandidateHyperplane(h, covered))
-    out.sort(key=lambda c: c.hyperplane.coeffs)
-    return out
 
 
 def solve_cover(cloud: WeightedPointCloud, k: int, *,

@@ -244,16 +244,11 @@ def normalize_coeffs(coeffs: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class ClusteringSolution:
-    """k flats plus the induced assignment and objective value.
-
-    ``budget_decision`` is set only when the solver ran in decision mode:
-    True/False for cost <= budget, None otherwise.
-    """
+    """k flats plus the induced assignment and objective value."""
 
     flats: tuple
     assignment: tuple
     cost: float
-    budget_decision: bool | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "flats", tuple(self.flats))
@@ -274,23 +269,28 @@ class CoverSolution:
 # distance primitives
 
 
-def dist2_point_flat(x: Sequence, flat: AffineFlat) -> Scalar:
-    """Squared Euclidean distance from a point to a canonical flat.
+def dist2_rows(X: np.ndarray, flat: AffineFlat) -> np.ndarray:
+    """Squared Euclidean distance from every row of X to a canonical flat.
 
     Evaluated as |(I - B B^T)(x - p)|^2, which equals |x - p - B B^T x|^2
-    under the canonical invariant B^T p = 0.  Returns 0 when x lies on the
-    flat, up to float roundoff.
+    under the canonical invariant B^T p = 0.  A row on the flat gets 0, up to
+    float roundoff.
     """
+    Y = X - flat.offset_array()
+    if flat.dim_flat:
+        B = flat.basis_array()
+        Y = Y - (Y @ B) @ B.T
+    return np.einsum("ij,ij->i", Y, Y)
+
+
+def dist2_point_flat(x: Sequence, flat: AffineFlat) -> float:
+    """Squared Euclidean distance from one float point to a canonical flat."""
     if len(x) != flat.dim_ambient:
         raise DimensionMismatchError(
             f"point of dim {len(x)} against flat in dim {flat.dim_ambient}")
     if any(isinstance(c, Fraction) for c in x):
         raise ScalarModeError("rational point against a float flat")
-    y = np.asarray(x, dtype=float) - flat.offset_array()
-    if flat.dim_flat:
-        B = flat.basis_array()
-        y = y - B @ (B.T @ y)
-    return float(y @ y)
+    return float(dist2_rows(np.array([x], dtype=float), flat)[0])
 
 
 def canonicalize_flat(raw_basis: Sequence[Sequence], raw_offset: Sequence) -> AffineFlat:
@@ -335,12 +335,5 @@ def total_cost(cloud: WeightedPointCloud, flats: Sequence[AffineFlat]) -> float:
         if f.dim_ambient != cloud.dim:
             raise DimensionMismatchError("flat and cloud dimensions differ")
     X = cloud.coords_array()
-    w = cloud.weights_array()
-    best = np.full(len(cloud.records), np.inf)
-    for f in flats:
-        Y = X - f.offset_array()
-        if f.dim_flat:
-            B = f.basis_array()
-            Y = Y - (Y @ B) @ B.T
-        best = np.minimum(best, np.einsum("ij,ij->i", Y, Y))
-    return float(w @ best)
+    D = np.column_stack([dist2_rows(X, f) for f in flats])
+    return float(cloud.weights_array() @ D.min(axis=1))

@@ -9,7 +9,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .geometry import MODE_FLOAT, AffineFlat, WeightedPointCloud, dist2_point_flat
+import numpy as np
+
+from .geometry import MODE_FLOAT, AffineFlat, WeightedPointCloud, dist2_rows
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf")
@@ -55,12 +57,14 @@ def render_svg(cloud: WeightedPointCloud,
             parts.append(
                 f'<line x1="{_fmt(px1)}" y1="{_fmt(py1)}" x2="{_fmt(px2)}" '
                 f'y2="{_fmt(py2)}" stroke="{color}" stroke-width="1.5"/>')
-    for rec in cloud.records:
-        if flats:
-            dists = [dist2_point_flat(rec.coords, f) for f in flats]
-            color = PALETTE[dists.index(min(dists)) % len(PALETTE)]
-        else:
-            color = "#333333"
+    if flats:
+        # argmin gives ties to the lowest flat index.
+        X = cloud.coords_array()
+        nearest = np.argmin(np.column_stack([dist2_rows(X, f) for f in flats]), axis=1)
+        colors = [PALETTE[j % len(PALETTE)] for j in nearest]
+    else:
+        colors = ["#333333"] * len(cloud.records)
+    for rec, color in zip(cloud.records, colors):
         px, py = to_px(float(rec.coords[0]), float(rec.coords[1]))
         radius = 3.0 + 0.8 * math.log(rec.mult) if rec.mult > 1 else 3.0
         parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="{_fmt(radius)}" '

@@ -256,29 +256,6 @@ def cover_to_dominating_set(inst: VandermondeInstance,
     return result
 
 
-def exact_determinant(matrix: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    m = [[Fraction(c) for c in row] for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = Fraction(1)
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            swap = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            m[i], m[swap] = m[swap], m[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) / prev
-            m[r][i] = Fraction(0)
-        prev = m[i][i]
-    return sign * m[n - 1][n - 1]
-
-
 # ---------------------------------------------------------------------------
 # Regular Multicolored Independent Set -> Line Clustering
 
@@ -577,18 +554,10 @@ def exact_cloud_cost(cloud: WeightedPointCloud, lines: Sequence[AxisLine]):
         raise ValueError("need at least one line")
     hs = [l.c for l in lines if l.axis == "h"]
     vs = [l.c for l in lines if l.axis == "v"]
-    total = Fraction(0)
+    total = 0
     for rec in cloud.records:
         x, y = rec.coords
-        best = None
-        for c in hs:
-            d = abs(y - c)
-            if best is None or d < best:
-                best = d
-        for c in vs:
-            d = abs(x - c)
-            if best is None or d < best:
-                best = d
+        best = min([abs(y - c) for c in hs] + [abs(x - c) for c in vs])
         total += rec.mult * best * best
     return total
 

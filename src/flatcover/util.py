@@ -14,9 +14,6 @@ DEFAULT_NODE_GUARD = 10**7
 # is an exact big integer; 432,000 of them at d=60 took 288 MB.
 DEFAULT_COORD_GUARD = 5 * 10**5
 
-# Cap on n^d for candidate-hyperplane generation.
-DEFAULT_CANDIDATE_GUARD = 10**7
-
 GUARD_ENV_VAR = "FLATCOVER_GUARD"
 
 

@@ -4,17 +4,14 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  Every tolerance is pinned here; nothing defers to calibration.
 """
 
-import itertools
 import math
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from flatcover.clustering import (
     HeuristicConfig,
-    PartitionIterator,
     count_consistent_partitions,
     partition_count,
     is_voronoi_consistent,
@@ -22,7 +19,6 @@ from flatcover.clustering import (
     solve_heuristic,
 )
 from flatcover.cover import (
-    generate_candidates,
     solve_cover,
     solve_cover_kernelized,
     verify_cover,
@@ -49,12 +45,12 @@ from flatcover.reductions import (
     desanitize_multiset,
     ds_to_hyperplane_cover,
     exact_cloud_cost,
-    exact_determinant,
     exact_solution_cost,
     independent_set_to_lines,
     rmis_to_line_clustering,
     vandermonde_value,
 )
+from oracles import cover_oracle, full_rank, unpruned_optimum
 
 
 def report(num, ok, elapsed, detail=""):
@@ -108,21 +104,6 @@ def test_criterion_1_best_fit():
 
 # ---------------------------------------------------------------------------
 # criterion 2: exact solver equals the unpruned full enumeration
-
-
-def unpruned_optimum(cloud, k, r):
-    best = math.inf
-    for labels in PartitionIterator(len(cloud.records), k):
-        blocks = {}
-        for i, lab in enumerate(labels):
-            blocks.setdefault(lab, []).append(i)
-        cost = 0.0
-        for blk in blocks.values():
-            sub = WeightedPointCloud(cloud.dim, cloud.mode,
-                                     tuple(cloud.records[i] for i in blk))
-            cost += best_fit_flat(sub, r).cost
-        best = min(best, cost)
-    return best
 
 
 def _random_instances(rng, count, dim, n_max):
@@ -210,26 +191,6 @@ def test_criterion_4_planted_recovery():
 # criterion 5: cover solver exactness
 
 
-def cover_oracle(cloud, k):
-    cands = generate_candidates(cloud)
-    n = len(cloud.records)
-    full = (1 << n) - 1
-    masks = []
-    for c in cands:
-        m = 0
-        for i in c.covered:
-            m |= 1 << i
-        masks.append(m)
-    for size in range(0, k + 1):
-        for combo in itertools.combinations(masks, size):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if acc == full:
-                return True
-    return False
-
-
 def test_criterion_5_cover_exactness():
     t0 = time.time()
     grid = WeightedPointCloud.create(
@@ -290,7 +251,7 @@ def test_criterion_7_vandermonde_minors():
         cols = rng.choice(size, size=order, replace=False) + 1
         minor = [[vandermonde_value(int(i), int(j)) for j in sorted(cols)]
                  for i in sorted(rows)]
-        assert exact_determinant(minor) != 0
+        assert full_rank(minor)
     elapsed = time.time() - t0
     report(7, elapsed < 30.0, elapsed, "500 exact minors, orders 2..5")
 

@@ -1,14 +1,17 @@
+import argparse
 import copy
 import functools
+import inspect
 import json
 import os
+import re
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatcover.cli import main
+from flatcover.cli import build_parser, main
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph, path_graph
 from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
@@ -337,11 +340,18 @@ def test_verify_refuses_rmis_n_unlike_its_graph(tmp_path, capsys):
     (["gen", "random-exact", "--format", "csv", "-o", "{out}"], "CSV output"),
     (["gen", "matching-graph", "--format", "csv", "-o", "{out}"], "CSV output"),
     (["verify", "{ds_inst}", "{selection}"], "got selection"),
-], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection"])
+    (["verify", "{rmis_inst}", "{cover}"], "got cover"),
+    (["verify", "{rmis_inst}", "{dominating_set}"], "got dominating_set"),
+], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
+        "rmis-cover", "rmis-dominating-set"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
+    cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
-            "ds_inst": reduction_cases()["verify-ds"][1]["inst"],
-            "selection": {"kind": "selection", "indices": [1, 2]}}
+            "ds_inst": cases["verify-ds"][1]["inst"],
+            "rmis_inst": cases["verify-rmis"][1]["inst"],
+            "selection": {"kind": "selection", "indices": [1, 2]},
+            "cover": {"kind": "cover", "hyperplanes": [["0", "1", "0"]]},
+            "dominating_set": {"kind": "dominating_set", "vertices": [0]}}
     paths = {"out": str(tmp_path / "out")}
     for role, doc in docs.items():
         paths[role] = str(tmp_path / f"{role}.json")
@@ -350,6 +360,25 @@ def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     assert run([a.format(**paths) for a in argv]) == 2
     assert message in assert_usage_error(capsys)
     assert not os.path.exists(paths["out"])
+
+
+def test_every_option_is_read_by_its_handler():
+    # An option its handler never reads is accepted and silently ignored.
+    # _write_output reads args.output for the handlers that call it.
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, parser in sub.choices.items():
+        source = inspect.getsource(parser.get_default("func"))
+        for action in parser._actions:
+            read = (re.search(rf"\bargs\.{action.dest}\b", source)
+                    or action.dest == "output" and "_write_output(args" in source)
+            if action.option_strings and action.dest != "help" and not read:
+                unread.append(f"{name} {action.dest}")
+    assert not unread, f"options never read by their handler: {unread}"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "pts.json", "-r", "1", "--guard", "1"])
+    assert exc.value.code == 2
 
 
 JSON_VALUES = st.recursive(

@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -8,9 +7,7 @@ from hypothesis import strategies as st
 
 from flatcover.clustering import (
     HeuristicConfig,
-    PartitionIterator,
     _block_cost,
-    _dist2,
     count_consistent_partitions,
     is_voronoi_consistent,
     partition_count,
@@ -27,28 +24,14 @@ from flatcover.geometry import (
     ClusteringSolution,
     WeightedPointCloud,
     dist2_point_flat,
+    dist2_rows,
 )
 from flatcover.util import make_rng, resolve_guard
+from oracles import partitions, unpruned_optimum
 
 
 def fcloud(points, mults=None):
     return WeightedPointCloud.create(points, MODE_FLOAT, mults)
-
-
-def brute_force_cost(cloud, k, r):
-    """Independent oracle: unpruned full enumeration via the public iterator."""
-    best = np.inf
-    for labels in PartitionIterator(len(cloud.records), k):
-        blocks = {}
-        for i, b in enumerate(labels):
-            blocks.setdefault(b, []).append(i)
-        cost = 0.0
-        for blk in blocks.values():
-            sub = WeightedPointCloud(cloud.dim, cloud.mode,
-                                     tuple(cloud.records[i] for i in blk))
-            cost += best_fit_flat(sub, r).cost
-        best = min(best, cost)
-    return best
 
 
 def test_stirling_spot_values():
@@ -62,7 +45,7 @@ def test_stirling_spot_values():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8))
 def test_partition_iterator_counts(n, k):
-    emitted = list(PartitionIterator(n, k))
+    emitted = list(partitions(n, k))
     assert len(emitted) == partition_count(n, k)
     assert len(set(emitted)) == len(emitted)
     by_blocks = {}
@@ -77,7 +60,7 @@ def test_partition_iterator_counts(n, k):
 @given(st.integers(2, 7), st.integers(1, 4))
 def test_partition_iterator_canonical(n, k):
     prev = None
-    for labels in PartitionIterator(n, k):
+    for labels in partitions(n, k):
         assert labels[0] == 0
         seen = 0
         for v in labels:
@@ -112,7 +95,7 @@ def test_solve_exact_matches_unpruned_oracle(seed):
     pts = rng.integers(-6, 7, size=(8, 2)).astype(float)
     cloud = fcloud(pts)
     sol = solve_exact(cloud, 2, 1)
-    assert sol.cost == pytest.approx(brute_force_cost(cloud, 2, 1), rel=1e-12, abs=1e-12)
+    assert sol.cost == pytest.approx(unpruned_optimum(cloud, 2, 1), rel=1e-12, abs=1e-12)
 
 
 def test_solve_exact_pruning_neutral():
@@ -181,16 +164,6 @@ def test_guard_env_var_malformed(monkeypatch):
         resolve_guard(10)
 
 
-def test_solve_exact_budget_decision():
-    pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 5.0), (1.0, 5.0), (2.0, 5.0)]
-    cloud = fcloud(pts)
-    yes = solve_exact(cloud, 2, 1, budget=0.5)
-    assert yes.budget_decision is True
-    no = solve_exact(cloud, 1, 0, budget=1e-9)
-    assert no.budget_decision is False
-    assert solve_exact(cloud, 2, 1).budget_decision is None
-
-
 def test_solve_exact_rejects_rational_cloud():
     cloud = WeightedPointCloud.create([(0, 0), (1, 1)], MODE_RATIONAL)
     with pytest.raises(ScalarModeError):
@@ -213,7 +186,7 @@ def test_solve_exact_multiplicity_stacks_move_together():
     assert len(sol.assignment) == 3
     heavy = sol.assignment[0]
     # The heavy stack sits alone or dominates its block's centroid.
-    assert sol.cost == pytest.approx(brute_force_cost(cloud, 2, 0), rel=1e-12)
+    assert sol.cost == pytest.approx(unpruned_optimum(cloud, 2, 0), rel=1e-12)
 
 
 def test_voronoi_consistency_of_exact_solutions():
@@ -289,7 +262,7 @@ def test_count_consistent_matches_brute_check():
         got = count_consistent_partitions(cloud, k, r)
         # Brute verification over all partitions into <= k blocks.
         expect = 0
-        for labels in PartitionIterator(n, k):
+        for labels in partitions(n, k):
             blocks = {}
             for i, b in enumerate(labels):
                 blocks.setdefault(b, []).append(i)
@@ -414,7 +387,7 @@ def test_solve_exact_matches_oracle_beyond_planar_lines(d, k, r, with_mults):
         mults = rng.integers(1, 4, size=7).tolist() if with_mults else None
         cloud = fcloud(rng.normal(size=(7, d)) * 3.0, mults)
         sol = solve_exact(cloud, k, r)
-        oracle = brute_force_cost(cloud, k, r)
+        oracle = unpruned_optimum(cloud, k, r)
         assert oracle > 1e-6
         assert abs(sol.cost - oracle) <= 1e-12 * max(sol.cost, oracle)
         assert is_voronoi_consistent(cloud, sol, tol=1e-9)
@@ -442,13 +415,13 @@ def reference_heuristic(cloud, k, r, config):
         flats = [fit(sorted(rng.choice(n, size=m, replace=False))) for _ in range(k)]
         prev_cost = math.inf
         for _ in range(config.max_iter):
-            D = np.column_stack([_dist2(X, f) for f in flats])
+            D = np.column_stack([dist2_rows(X, f) for f in flats])
             assign = np.argmin(D, axis=1)
             for j in range(k):
                 members = np.flatnonzero(assign == j)
                 if len(members):
                     flats[j] = fit(members)
-            cur = np.column_stack([_dist2(X, f) for f in flats])
+            cur = np.column_stack([dist2_rows(X, f) for f in flats])
             resid = cur[np.arange(n), assign]
             cost = float(W @ resid)
             claim = resid.copy()

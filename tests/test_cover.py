@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from flatcover import cover
 from flatcover.cover import (
     forced_line_kernel,
-    generate_candidates,
     solve_cover,
     solve_cover_kernelized,
     verify_cover,
@@ -18,6 +17,7 @@ from flatcover.cover import (
 from flatcover.errors import GuardLimitError, IntegrityError, ScalarModeError
 from flatcover.fitting import fit_hyperplane_exact
 from flatcover.geometry import MODE_FLOAT, MODE_RATIONAL, Hyperplane, WeightedPointCloud
+from oracles import cover_oracle, generate_candidates
 
 
 def rcloud(points):
@@ -26,27 +26,6 @@ def rcloud(points):
 
 def grid3x3():
     return rcloud([(x, y) for x in range(3) for y in range(3)])
-
-
-def oracle_cover(cloud, k):
-    """Brute force over subsets of candidates: the independent decision oracle."""
-    cands = generate_candidates(cloud)
-    n = len(cloud.records)
-    full = (1 << n) - 1
-    masks = []
-    for c in cands:
-        m = 0
-        for i in c.covered:
-            m |= 1 << i
-        masks.append(m)
-    for size in range(0, k + 1):
-        for combo in itertools.combinations(masks, size):
-            acc = 0
-            for m in combo:
-                acc |= m
-            if acc == full:
-                return True
-    return False
 
 
 def test_verify_cover_basic():
@@ -81,23 +60,23 @@ def test_candidates_three_noncollinear_points():
     cands = generate_candidates(cloud)
     # 3 pair-lines plus 3 singleton completions (horizontal per the e1 rule).
     assert len(cands) == 6
-    horizontals = [c for c in cands if c.hyperplane.coeffs[1] == 0]
+    horizontals = [h for h, _ in cands if h.coeffs[1] == 0]
     assert len(horizontals) == 3
 
 
 def test_candidates_collinear_points_deduplicate():
     cloud = rcloud([(0, 0), (1, 1), (2, 2)])
     cands = generate_candidates(cloud)
-    on_line = [c for c in cands if len(c.covered) == 3]
+    on_line = [h for h, covered in cands if len(covered) == 3]
     assert len(on_line) == 1
-    assert on_line[0].hyperplane.coeffs == (0, 1, -1)
+    assert on_line[0].coeffs == (0, 1, -1)
 
 
 def test_candidates_coplanar_points_in_3d():
     pts = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 3, 1)]
     cands = generate_candidates(rcloud(pts))
-    full = [c for c in cands if len(c.covered) == 4]
-    assert any(c.hyperplane.coeffs == (-1, 0, 0, 1) for c in full)
+    full = [h for h, covered in cands if len(covered) == 4]
+    assert any(h.coeffs == (-1, 0, 0, 1) for h in full)
 
 
 @settings(max_examples=20, deadline=None)
@@ -112,14 +91,8 @@ def test_candidate_completeness(seed):
     for a, b in itertools.combinations(positions, 2):
         h = fit_hyperplane_exact([a, b])
         covered = {p for p in positions if h.contains(p)}
-        assert any(covered <= {cloud.records[i].coords for i in c.covered}
-                   for c in cands)
-
-
-def test_candidates_guard():
-    cloud = rcloud([(i, j) for i in range(10) for j in range(10)])
-    with pytest.raises(GuardLimitError):
-        generate_candidates(cloud, guard=50)
+        assert any(covered <= {cloud.records[i].coords for i in on}
+                   for _, on in cands)
 
 
 def test_grid_cover_answers():
@@ -154,7 +127,7 @@ def test_cover_matches_oracle(seed, k):
     pts = {tuple(int(c) for c in p) for p in rng.integers(-3, 4, size=(8, 2))}
     cloud = rcloud(pts)
     got = solve_cover(cloud, k)
-    assert (got is not None) == oracle_cover(cloud, k)
+    assert (got is not None) == cover_oracle(cloud, k)
     if got is not None:
         assert len(got.hyperplanes) <= k
         assert verify_cover(cloud, got.hyperplanes)
@@ -168,7 +141,7 @@ def test_strategies_agree(seed, k):
     pts = {tuple(int(c) for c in p) for p in rng.integers(-4, 5, size=(9, 2))}
     cloud = rcloud(pts)
     got = solve_cover(cloud, k)
-    assert (got is not None) == oracle_cover(cloud, k)
+    assert (got is not None) == cover_oracle(cloud, k)
     if got is not None:
         assert verify_cover(cloud, got.hyperplanes)
 
@@ -250,7 +223,7 @@ def test_cover_matches_oracle_on_grid_heavy_clouds(seed, d):
     cloud = grid_heavy_cloud(np.random.default_rng(seed), d)
     for k in range(1, 5):
         got = solve_cover(cloud, k)
-        assert (got is not None) == oracle_cover(cloud, k), k
+        assert (got is not None) == cover_oracle(cloud, k), k
         if got is not None:
             assert len(got.hyperplanes) <= k
             assert verify_cover(cloud, got.hyperplanes)
