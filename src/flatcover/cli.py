@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("bench", help="measurement harness")
-    p.add_argument("suite", choices=("partitions",))
     p.add_argument("--n-min", type=int, default=6)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("-k", type=int, default=2)

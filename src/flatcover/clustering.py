@@ -5,8 +5,10 @@ into at most k blocks, accumulating each block's optimal fit cost.  Every
 nearest-flat-consistent assignment occurs among these partitions, so the
 exact solver's cheapest partition is the global optimum; its incumbent
 bounds the search without ever changing the result (block fit cost is
-monotone in the block's record set).  Counting consistent partitions runs
-the same search unbounded.  Both are capped by the nodes visited.
+monotone in the block's record set).  The exact solver starts that bound
+from the labels of a lockstep assign/refit heuristic, replayed through the
+search's own block updates.  Counting consistent partitions runs the same
+search unbounded.  Both are capped by the nodes visited.
 
 Each block keeps its weight, coordinate sums and upper-triangle raw second
 moments as scalar Python floats, updated from per-record terms computed
@@ -180,80 +182,168 @@ def _block_cost(d: int, r: int):
     return cost
 
 
-def _search(X, W, k, r, guard, leaf) -> None:
+# The seeded bound's margin above the seed path's peak, relative to the raw
+# second moments of the whole cloud.
+SEED_MARGIN = 1e-9
+
+
+def _search(X, W, k, r, guard, leaf, seed=None, nodes=0) -> int:
     """Depth-first search over canonical partitions into at most k blocks.
 
     Record i joins an existing block or opens the next one (restricted growth
     strings).  Each block keeps its weight, coordinate sums and raw second
-    moments as plain floats, updated in place from per-record terms computed
-    once, so each step costs a few float additions and one block-cost
-    evaluation.  Every complete partition goes to ``leaf(labels, total)``,
-    which returns the bound: a branch is cut once its accumulated cost
-    reaches it.  Visiting more than ``guard`` nodes raises GuardLimitError.
+    moments as plain floats; a record joining a block builds the block's new
+    state from per-record terms computed once, and backtracking restores the
+    old state, so every node's totals depend on its path alone.  Every
+    complete partition goes to ``leaf(labels, total)``, which returns the
+    bound: a branch is cut once its accumulated cost reaches it.  The loop
+    keeps its own stack, so the depth is not limited by Python's recursion
+    limit.
+
+    ``seed``, a labelling of the records, is first replayed as a restricted
+    growth string through the same block updates; the bound then starts just
+    above the highest partial total on that path, which the search retraces
+    bit for bit, so the answer is still the search's own.  Returns the node
+    count, starting from ``nodes``; a count above ``guard`` raises
+    GuardLimitError.
     """
     n, d = X.shape
     cost = _block_cost(d, r)
     rows, cols = (idx.tolist() for idx in np.triu_indices(d))
-    dims = range(d)
-    pairs = range(len(rows))
     # Per-record terms in the operation order of ``wt * x`` and
     # ``np.outer(x, x) * wt``.
     ws = W.tolist()
     xs = X.tolist()
-    rs = [[wt * x[a] for a in dims] for x, wt in zip(xs, ws)]
+    rs = [[wt * x[a] for a in range(d)] for x, wt in zip(xs, ws)]
     rm = [[(x[a] * x[b]) * wt for a, b in zip(rows, cols)] for x, wt in zip(xs, ws)]
+    # A block's state: weight, coordinate sums, raw second moments, cost.
+    empty = (0.0, [0.0] * d, [0.0] * len(rows), 0.0)
 
-    # Per-block accumulators: weight, coordinate sums, raw second moments.
-    bw = [0.0] * k
-    bs = [[0.0] * d for _ in range(k)]
-    bm = [[0.0] * len(rows) for _ in range(k)]
-    bcost = [0.0] * k
+    def grow(state, i):
+        w, s, m, _ = state
+        w += ws[i]
+        s = [p + q for p, q in zip(s, rs[i])]
+        m = [p + q for p, q in zip(m, rm[i])]
+        return w, s, m, cost(w, s, m)
 
     bound = math.inf
-    nodes = 0
-    labels = [0] * n
+    if seed is not None:
+        blocks = [empty] * k
+        first = {}
+        total = peak = 0.0
+        for i, lab in enumerate(seed):
+            b = first.setdefault(lab, len(first))
+            state = grow(blocks[b], i)
+            total = total - blocks[b][3] + state[3]
+            blocks[b] = state
+            peak = max(peak, total)
+        if math.isfinite(total):
+            # Rounding moves a block cost by about 1e-13 of the block's raw
+            # second moments, and can lift a partial total above the total of
+            # a leaf below it; a bound this far above the peak cuts no branch
+            # that rounding alone would have let an unseeded search keep.
+            scale = float(W @ (X * X).sum(axis=1))
+            bound = math.nextafter(peak + SEED_MARGIN * scale, math.inf)
 
-    def rec(i, used, total):
-        nonlocal bound, nodes
+    def visit():
+        nonlocal nodes
         nodes += 1
         if nodes > guard:
             raise GuardLimitError(
                 f"instance too large for exact mode: partition-search nodes exceed {guard}")
-        if i == n:
-            bound = leaf(labels, total)
-            return
-        wt = ws[i]
-        sx = rs[i]
-        mx = rm[i]
-        top = used + 1 if used < k else used
-        for b in range(top):
-            s = bs[b]
-            m = bm[b]
-            old_cost = bcost[b]
-            bw[b] += wt
-            for a in dims:
-                s[a] += sx[a]
-            for t in pairs:
-                m[t] += mx[t]
-            new_cost = cost(bw[b], s, m)
-            bcost[b] = new_cost
-            new_total = total - old_cost + new_cost
-            if not new_total >= bound:
-                labels[i] = b
-                rec(i + 1, max(used, b + 1), new_total)
-            bw[b] -= wt
-            for a in dims:
-                s[a] -= sx[a]
-            for t in pairs:
-                m[t] -= mx[t]
-            bcost[b] = old_cost
 
     # Record 0 always opens block 0.
-    bw[0] = ws[0]
-    bs[0] = list(rs[0])
-    bm[0] = list(rm[0])
-    bcost[0] = cost(bw[0], bs[0], bm[0])
-    rec(1, 1, bcost[0])
+    labels = [0] * n
+    blocks = [empty] * k
+    blocks[0] = grow(empty, 0)
+    visit()
+    if n == 1:
+        leaf(labels, blocks[0][3])
+        return nodes
+    # Depth i places record i: its running total, blocks in use, next block
+    # to try, and the (block, state) its join displaced.
+    totals = [0.0] * n
+    used = [0] * n
+    nxt = [0] * n
+    saved = [None] * n
+    totals[1] = blocks[0][3]
+    used[1] = 1
+    i = 1
+    while i:
+        b = nxt[i]
+        if b > used[i] or b == k:
+            i -= 1
+            if i:
+                j, state = saved[i]
+                blocks[j] = state
+            continue
+        nxt[i] = b + 1
+        old = blocks[b]
+        state = grow(old, i)
+        total = totals[i] - old[3] + state[3]
+        if total >= bound:
+            continue
+        visit()
+        labels[i] = b
+        if i + 1 == n:
+            bound = leaf(labels, total)
+            continue
+        saved[i] = b, old
+        blocks[b] = state
+        i += 1
+        totals[i] = total
+        used[i] = max(used[i - 1], b + 1)
+        nxt[i] = 0
+    return nodes
+
+
+# Restarts and round cap of the incumbent that seeds solve_exact's search.
+INCUMBENT_RESTARTS = 8
+INCUMBENT_ROUNDS = 30
+
+
+def _lockstep_labels(X, W, k, r):
+    """Labels of the cheapest of INCUMBENT_RESTARTS assign/refit restarts.
+
+    The restarts run in lockstep on shared arrays.  Each of the k flats of a
+    restart is first fitted through r+1 records drawn from ``make_rng(0)``;
+    each round then takes one (restarts, k, n) array of squared distances,
+    reassigns every record to its nearest flat (ties to the lowest block)
+    and refits every block from its weighted moments with one batched
+    ``eigh``.  A block left empty stays empty.  It stops when no assignment
+    changes or after INCUMBENT_ROUNDS rounds, and returns None when the
+    moments are not finite.
+
+    This duplicates the assign/refit loop of ``solve_heuristic``, whose
+    answers it would change; the two merge once the heuristic's benchmark
+    reference is re-recorded.
+    """
+    n, d = X.shape
+    # Restart t seeds block j with the r+1 records of smallest key [t, j].
+    keys = make_rng(0).random((INCUMBENT_RESTARTS, k, n))
+    member = keys <= np.sort(keys, axis=2)[..., min(r, n - 1), None]
+    outer = (X[:, :, None] * X[:, None, :]).reshape(n, d * d)
+    labels = None
+    for _ in range(INCUMBENT_ROUNDS):
+        mw = member * W
+        w = mw.sum(axis=2)
+        sums = mw @ X
+        centre = sums / np.maximum(w, 1e-300)[..., None]
+        scatter = ((mw @ outer).reshape(*w.shape, d, d)
+                   - sums[..., :, None] * centre[..., None, :])
+        if not np.isfinite(scatter).all():
+            return None
+        basis = np.linalg.eigh(scatter)[1][..., d - r:]
+        Y = X - centre[:, :, None, :]
+        dist = (Y * Y).sum(axis=3) - ((Y @ basis) ** 2).sum(axis=3)
+        dist[w == 0] = np.inf
+        new = dist.argmin(axis=1)
+        if labels is not None and np.array_equal(new, labels):
+            break
+        labels = new
+        member = labels[:, None, :] == np.arange(k)[:, None]
+    score = np.take_along_axis(dist, labels[:, None, :], axis=1)[:, 0] @ W
+    return labels[int(np.argmin(score))]
 
 
 def solve_exact(cloud: WeightedPointCloud, k: int, r: int,
@@ -263,11 +353,16 @@ def solve_exact(cloud: WeightedPointCloud, k: int, r: int,
     Raises GuardLimitError when the search visits more nodes than the guard
     rather than silently degrading to a heuristic.  With ``prune`` the search
     skips branches whose accumulated block-fit cost already meets the
-    incumbent; pruned and unpruned runs return the same solution.
+    incumbent, and starts from the bound of a lockstep heuristic's labels;
+    should no leaf beat that bound, it searches again from an infinite one,
+    with the guard counting the nodes of both passes.  The heuristic's labels
+    are never returned unless the search reaches them as its own optimum, so
+    pruned, seeded and unpruned runs return the same solution.
     """
     _check_solver_args(cloud, k, r)
     X = cloud.coords_array()
     W = cloud.weights_array()
+    guard = resolve_guard(DEFAULT_NODE_GUARD, guard)
     best_total = math.inf
     best_labels = None
 
@@ -278,7 +373,12 @@ def solve_exact(cloud: WeightedPointCloud, k: int, r: int,
             best_labels = tuple(labels)
         return best_total if prune else math.inf
 
-    _search(X, W, k, r, resolve_guard(DEFAULT_NODE_GUARD, guard), leaf)
+    # Overflowing moments end in the ValueError below, not in warnings.
+    with np.errstate(all="ignore"):
+        seed = _lockstep_labels(X, W, k, r) if prune else None
+        nodes = _search(X, W, k, r, guard, leaf, seed)
+        if best_labels is None and seed is not None:
+            _search(X, W, k, r, guard, leaf, nodes=nodes)
     if best_labels is None:
         raise ValueError("no partition has a finite cost: coordinates are not finite "
                          "or overflow float64")

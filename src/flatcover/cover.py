@@ -176,21 +176,26 @@ def _solve_partition(positions, d, k, guard):
     # grew the hull (at most d of them, pairwise affinely independent).
 
     def search(i, slots):
+        # Recurses only where a slot grows or opens, at most k*d deep.
         nonlocal nodes
-        nodes += 1
-        if nodes > cap:
-            raise GuardLimitError(
-                f"instance too large for exact mode: partition-search nodes exceed {cap}")
-        if i == n:
-            return slots
-        x = pts[i]
-        residuals = []
-        for base, rows, reps in slots:
-            v = reduce_row([a - b for a, b in zip(x, pts[base])], rows)
-            if not any(v):
-                # Inside this slot's hull: absorbing it is dominant.
-                return search(i + 1, slots)
-            residuals.append(v)
+        while True:
+            nodes += 1
+            if nodes > cap:
+                raise GuardLimitError(
+                    f"instance too large for exact mode: partition-search nodes exceed {cap}")
+            if i == n:
+                return slots
+            x = pts[i]
+            residuals = []
+            for base, rows, reps in slots:
+                v = reduce_row([a - b for a, b in zip(x, pts[base])], rows)
+                if not any(v):
+                    break
+                residuals.append(v)
+            else:
+                break
+            # Inside a slot's hull: absorbing it is dominant.
+            i += 1
         for j, (base, rows, reps) in enumerate(slots):
             if len(rows) < d - 1:
                 new_slot = (base, rows + (echelon_row(residuals[j]),), reps + (i,))

@@ -55,6 +55,9 @@ def random_cloud(n_points: int, dim: int, seed: int, *, scale: float = 5.0,
 def random_exact_cloud(n_points: int, dim: int, seed: int, *,
                        coord_range: int = 8) -> WeightedPointCloud:
     """Distinct small-integer positions, for exact cover experiments."""
+    if n_points > (2 * coord_range + 1) ** dim:
+        raise ValueError(f"only {(2 * coord_range + 1) ** dim} distinct positions exist "
+                         f"in [-{coord_range}, {coord_range}]^{dim}, asked for {n_points}")
     rng = make_rng(seed)
     seen = set()
     while len(seen) < n_points:

@@ -229,8 +229,7 @@ def test_plot_svg(tmp_path, planted_file):
 
 def test_bench_partitions(tmp_path):
     out = tmp_path / "bench.tsv"
-    assert run(["bench", "partitions", "--n-min", "5", "--n-max", "7",
-                "-o", str(out)]) == 0
+    assert run(["bench", "--n-min", "5", "--n-max", "7", "-o", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[0].startswith("n\t")
     counts = [int(l.split("\t")[1]) for l in lines[1:4]]
@@ -363,8 +362,9 @@ def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
 
 
 def test_every_option_is_read_by_its_handler():
-    # An option its handler never reads is accepted and silently ignored.
-    # _write_output reads args.output for the handlers that call it.
+    # An option or positional its handler never reads is accepted and
+    # silently ignored.  _write_output reads args.output for the handlers
+    # that call it.
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     unread = []
@@ -373,7 +373,7 @@ def test_every_option_is_read_by_its_handler():
         for action in parser._actions:
             read = (re.search(rf"\bargs\.{action.dest}\b", source)
                     or action.dest == "output" and "_write_output(args" in source)
-            if action.option_strings and action.dest != "help" and not read:
+            if action.dest != "help" and not read:
                 unread.append(f"{name} {action.dest}")
     assert not unread, f"options never read by their handler: {unread}"
     with pytest.raises(SystemExit) as exc:
@@ -575,6 +575,51 @@ def assert_guard_exit(capsys):
     err = capsys.readouterr().err
     assert err.startswith("guard: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def cloud_1500(tmp_path_factory):
+    path = tmp_path_factory.mktemp("deep") / "cloud.json"
+    assert run(["gen", "random", "-n", "1500", "--seed", "0", "-o", str(path)]) == 0
+    return str(path)
+
+
+def test_cluster_search_deeper_than_the_recursion_limit(tmp_path, cloud_1500):
+    # The partition search places one record per level; with k = 1 it is
+    # a single path 1500 levels deep.
+    out = tmp_path / "k1.json"
+    assert run(["cluster", cloud_1500, "-k", "1", "-r", "1", "-o", str(out)]) == 0
+    assert read_json(out)["assignment"] == [0] * 1500
+
+
+def test_cluster_deep_search_trips_the_guard(tmp_path, capsys, cloud_1500):
+    assert run(["cluster", cloud_1500, "-k", "3", "-r", "1", "--guard", "100000",
+                "-o", str(tmp_path / "k3.json")]) == 3
+    assert_guard_exit(capsys)
+    assert not (tmp_path / "k3.json").exists()
+
+
+def test_cover_three_long_lines(tmp_path, capsys):
+    # 1501 positions on y = 0, x = 0 and y = x: each absorbed position used
+    # to cost one level of recursion.
+    pts = [(0, 0)] + [p for t in range(1, 501) for p in ((t, 0), (0, t), (t, t))]
+    src = tmp_path / "lines.json"
+    src.write_text(json.dumps({"dim": 2, "scalar": "rational", "points": [
+        {"coords": [str(x), str(y)], "mult": 1} for x, y in pts]}))
+    out = tmp_path / "cover.json"
+    assert run(["cover", str(src), "-k", "3", "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "YES\n"
+    assert len(read_json(out)["hyperplanes"]) == 3
+
+
+def test_gen_random_exact_refuses_more_points_than_positions(tmp_path, capsys):
+    # 17 x 17 = 289 integer positions exist in [-8, 8]^2.
+    out = tmp_path / "exact.json"
+    assert run(["gen", "random-exact", "-n", "290", "--dim", "2", "-o", str(out)]) == 2
+    assert "289 distinct positions" in assert_usage_error(capsys)
+    assert not out.exists()
+    assert run(["gen", "random-exact", "-n", "289", "--dim", "2", "-o", str(out)]) == 0
+    assert len(read_json(out)["points"]) == 289
 
 
 def test_reduce_ds_guard_caps_coordinates_before_building(tmp_path, capsys):

@@ -1,13 +1,18 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcover import clustering
 from flatcover.clustering import (
     HeuristicConfig,
     _block_cost,
+    _lockstep_labels,
+    _search,
     count_consistent_partitions,
     is_voronoi_consistent,
     partition_count,
@@ -141,17 +146,17 @@ def test_solve_exact_permutation_invariance():
 
 
 def test_solve_exact_respects_guard():
-    # The guard caps visited search nodes: this search visits 774 of them,
-    # far fewer than its 88,572 canonical partitions.
+    # The guard caps visited search nodes: the seeded search visits 386 of
+    # them, far fewer than its 88,572 canonical partitions.
     cloud = fcloud(np.random.default_rng(0).normal(size=(12, 2)))
     with pytest.raises(GuardLimitError):
-        solve_exact(cloud, 3, 1, guard=500)
-    solve_exact(cloud, 3, 1, guard=1000)
+        solve_exact(cloud, 3, 1, guard=385)
+    solve_exact(cloud, 3, 1, guard=386)
 
 
 def test_guard_env_var_override(monkeypatch):
     cloud = fcloud(np.random.default_rng(0).normal(size=(12, 2)))
-    monkeypatch.setenv("FLATCOVER_GUARD", "500")
+    monkeypatch.setenv("FLATCOVER_GUARD", "385")
     with pytest.raises(GuardLimitError):
         solve_exact(cloud, 3, 1)
     monkeypatch.setenv("FLATCOVER_GUARD", str(10**9))
@@ -283,6 +288,8 @@ def test_count_consistent_node_guard():
     cloud = fcloud(np.random.default_rng(4).normal(size=(6, 2)))
     nodes = sum(partition_count(i, 2) for i in range(1, 7))
     assert nodes == 63
+    assert _search(cloud.coords_array(), cloud.weights_array(), 2, 1, nodes,
+                   lambda labels, total: math.inf) == nodes
     with pytest.raises(GuardLimitError):
         count_consistent_partitions(cloud, 2, 1, guard=nodes - 1)
     assert count_consistent_partitions(cloud, 2, 1, guard=nodes) == \
@@ -303,6 +310,84 @@ def test_solve_exact_planted_n19_under_default_guard(monkeypatch):
             WeightedPointCloud(2, MODE_FLOAT, tuple(block)), 1).cost
     assert sol.cost <= planted_cost * (1 + 1e-12)
     assert is_voronoi_consistent(cloud, sol, tol=1e-9)
+
+
+def search_nodes(cloud, k, r, seed=None):
+    """Nodes the bounded search visits, as solve_exact's first pass runs it."""
+    best = [math.inf]
+
+    def leaf(labels, total):
+        best[0] = min(best[0], total)
+        return best[0]
+
+    return _search(cloud.coords_array(), cloud.weights_array(), k, r, 10**9, leaf, seed)
+
+
+def seed_labels(cloud, k, r):
+    return _lockstep_labels(cloud.coords_array(), cloud.weights_array(), k, r)
+
+
+def test_seeded_search_node_counts():
+    guarded = fcloud(np.random.default_rng(0).normal(size=(12, 2)))
+    planted, _, _ = planted_lines_cloud(19, 3, 0.1, 0)
+    assert search_nodes(guarded, 3, 1) == 774
+    assert search_nodes(guarded, 3, 1, seed_labels(guarded, 3, 1)) == 386
+    assert search_nodes(planted, 3, 1) == 3877
+    assert search_nodes(planted, 3, 1, seed_labels(planted, 3, 1)) == 140
+
+
+def grid_clouds(d, k, rng):
+    """Multiplicities, stacked duplicate records and exactly tied partitions."""
+    n = int(rng.integers(k, 11))
+    mults = rng.integers(1, 4, size=n).tolist()
+    yield fcloud(rng.normal(size=(n, d)) * 3.0, mults)
+    stack = rng.integers(-2, 3, size=(3, d)).astype(float)
+    yield fcloud(stack[rng.integers(0, 3, size=n)], mults)
+    # Corners of the cubes [-1, 1]^d and [-2, 2]^d: symmetric, so many
+    # partitions tie.
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=d)))
+    yield fcloud(np.vstack([corners, 2.0 * corners])[:10])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_seed_never_changes_the_answer(d, k, monkeypatch):
+    rng = np.random.default_rng(10 * d + k)
+    clouds = list(grid_clouds(d, k, rng))
+    seeded = [[solve_exact(c, k, r) for c in clouds] for r in range(d)]
+    monkeypatch.setattr(clustering, "_lockstep_labels", lambda X, W, k, r: None)
+    for r in range(d):
+        for cloud, sol in zip(clouds, seeded[r]):
+            unseeded = solve_exact(cloud, k, r)
+            assert sol.assignment == unseeded.assignment, (r, cloud)
+            assert sol.cost == unseeded.cost
+            assert sol.flats == unseeded.flats
+
+
+def test_search_reruns_when_no_leaf_beats_the_seed(monkeypatch):
+    # An incumbent that places only record 0 sets the bound a margin of
+    # about 2e-8 above that record's zero cost, which no partition of this
+    # cloud reaches: the first pass finds no leaf, and the second pass,
+    # from an infinite bound, gives the answer.
+    cloud = fcloud(np.random.default_rng(0).normal(size=(12, 2)))
+    expected = solve_exact(cloud, 3, 1)
+    first = search_nodes(cloud, 3, 1, [0])
+    second = search_nodes(cloud, 3, 1)
+    monkeypatch.setattr(clustering, "_lockstep_labels", lambda X, W, k, r: [0])
+    sol = solve_exact(cloud, 3, 1, guard=first + second)
+    assert sol.assignment == expected.assignment and sol.cost == expected.cost
+    with pytest.raises(GuardLimitError, match=str(first + second - 1)):
+        solve_exact(cloud, 3, 1, guard=first + second - 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_solve_exact_overflow_raises_without_warnings(d):
+    cloud = fcloud([(1e200,) + (0.0,) * (d - 1), (-1e200,) + (1.0,) * (d - 1),
+                    (0.0,) * (d - 1) + (3.0,)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            solve_exact(cloud, 1, 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
