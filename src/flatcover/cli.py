@@ -3,7 +3,7 @@ gen, plot, bench.
 
 Exit codes: 0 success/YES/PASS, 1 NO/FAIL, 2 usage error, 3 resource guard.
 All randomness flows from --seed through one counter-based generator, and
-numeric outputs are byte-identical across repeated runs.
+result files are byte-identical across repeated runs.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from .clustering import (
     HeuristicConfig,
@@ -22,7 +24,7 @@ from .clustering import (
     solve_exact,
     solve_heuristic,
 )
-from .cover import solve_cover, solve_cover_kernelized
+from .cover import solve_cover, solve_cover_kernelized, verify_cover
 from .errors import FlatcoverError, GuardLimitError
 from .fitting import best_fit_flat
 from .generators import (
@@ -31,7 +33,6 @@ from .generators import (
     random_cloud,
     random_exact_cloud,
 )
-from .geometry import MODE_FLOAT
 from .reductions import (
     audit_rmis_instance,
     cover_to_dominating_set,
@@ -57,21 +58,23 @@ def _load_cloud(path: str, csv_mult: bool = False):
     return fio.cloud_from_obj(_load_json(path))
 
 
-def _write_output(args, payload: dict, command: str, inputs: list,
-                  seed: int | None, t0: float) -> None:
-    payload = dict(payload)
-    payload["manifest"] = fio.build_manifest(
-        command, sys.argv[1:], inputs, seed, round(time.time() - t0, 6))
-    text = fio.dumps_canonical(payload)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+def _write_text(path: str | None, text: str) -> None:
+    """Write text to the -o file, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _write_output(args, payload: dict, command: str, inputs: list,
+                  seed: int | None) -> None:
+    payload = dict(payload)
+    payload["manifest"] = fio.build_manifest(command, sys.argv[1:], inputs, seed)
+    _write_text(args.output, fio.dumps_canonical(payload) + "\n")
 
 
 def cmd_fit(args) -> int:
-    t0 = time.time()
     cloud = _load_cloud(args.input, args.csv_mult)
     res = best_fit_flat(cloud, args.r)
     payload = {
@@ -82,7 +85,7 @@ def cmd_fit(args) -> int:
         "flat": {"basis": [[float(c) for c in col] for col in res.flat.basis],
                  "offset": [float(c) for c in res.flat.offset]},
     }
-    _write_output(args, payload, "fit", [args.input], None, t0)
+    _write_output(args, payload, "fit", [args.input], None)
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(render_svg(cloud, [res.flat]))
@@ -90,7 +93,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    t0 = time.time()
     cloud = _load_cloud(args.input, args.csv_mult)
     if args.heuristic:
         config = HeuristicConfig(restarts=args.restarts, max_iter=args.max_iter,
@@ -106,7 +108,7 @@ def cmd_cluster(args) -> int:
         decision = "YES" if sol.cost <= args.budget else "NO"
         payload["budget"] = args.budget
         payload["decision"] = decision
-    _write_output(args, payload, "cluster", [args.input], args.seed, t0)
+    _write_output(args, payload, "cluster", [args.input], args.seed)
     if decision:
         print(decision)
         return 0 if decision == "YES" else 1
@@ -114,7 +116,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    t0 = time.time()
     cloud = _load_cloud(args.input)
     if args.kernel:
         sol = solve_cover_kernelized(cloud, args.k, guard=args.guard)
@@ -122,29 +123,27 @@ def cmd_cover(args) -> int:
         sol = solve_cover(cloud, args.k, guard=args.guard)
     if sol is None:
         payload = {"kind": "cover", "k": args.k, "answer": "NO"}
-        _write_output(args, payload, "cover", [args.input], None, t0)
+        _write_output(args, payload, "cover", [args.input], None)
         print("NO")
         return 1
     payload = fio.cover_solution_to_obj(sol)
     payload["kind"] = "cover"
     payload["answer"] = "YES"
-    _write_output(args, payload, "cover", [args.input], None, t0)
+    _write_output(args, payload, "cover", [args.input], None)
     print("YES")
     return 0
 
 
 def cmd_reduce_ds(args) -> int:
-    t0 = time.time()
     g = fio.graph_from_obj(_load_json(args.graph))
     inst = ds_to_hyperplane_cover(g, args.k, allow_trivial=args.allow_trivial,
                                   guard=args.guard)
     payload = fio.ds_instance_to_obj(inst)
-    _write_output(args, payload, "reduce-ds", [args.graph], None, t0)
+    _write_output(args, payload, "reduce-ds", [args.graph], None)
     return 0
 
 
 def cmd_reduce_rmis(args) -> int:
-    t0 = time.time()
     g = fio.graph_from_obj(_load_json(args.graph))
     overrides = {}
     for kv in args.override or []:
@@ -156,7 +155,7 @@ def cmd_reduce_rmis(args) -> int:
         materialize=None if args.materialize == "auto" else args.materialize == "yes")
     payload = fio.rmis_instance_to_obj(inst)
     payload["audit"] = audit_rmis_instance(inst, guard=args.guard)
-    _write_output(args, payload, "reduce-rmis", [args.graph], None, t0)
+    _write_output(args, payload, "reduce-rmis", [args.graph], None)
     return 0 if all(payload["audit"].values()) else 1
 
 
@@ -173,7 +172,6 @@ def cmd_verify(args) -> int:
             checks.append(("cover maps back to a dominating set",
                            inst.graph.is_dominating(extracted)))
         elif kind == "cover":
-            from .cover import verify_cover
             ok = verify_cover(inst.cloud, witness.hyperplanes)
             checks.append(("planes cover every point", ok))
             if ok:
@@ -200,7 +198,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    t0 = time.time()
     if args.format == "csv" and args.what not in ("planted", "random"):
         raise ValueError(f"CSV output is only available for float clouds, not {args.what}")
     if args.what == "planted":
@@ -218,28 +215,17 @@ def cmd_gen(args) -> int:
         g = matching_color_graph(args.ell, args.nu)
         payload = fio.graph_to_obj(g)
     if args.format == "csv":
-        text = fio.cloud_to_csv(cloud, include_mult=args.max_mult > 1)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
+        _write_text(args.output, fio.cloud_to_csv(cloud, include_mult=args.max_mult > 1))
         return 0
     payload["kind"] = "cloud" if "points" in payload else "graph"
-    _write_output(args, payload, "gen", [], args.seed, t0)
+    _write_output(args, payload, "gen", [], args.seed)
     return 0
 
 
 def cmd_plot(args) -> int:
     cloud = _load_cloud(args.input, args.csv_mult)
-    flats = []
-    if args.solution:
-        data = _load_json(args.solution)
-        from .geometry import AffineFlat
-        for f in data.get("flats", []):
-            basis = tuple(tuple(float(c) for c in col) for col in f["basis"])
-            offset = tuple(float(c) for c in f["offset"])
-            flats.append(AffineFlat(cloud.dim, len(basis), basis, offset, MODE_FLOAT))
+    flats = (fio.clustering_flats_from_obj(_load_json(args.solution), cloud.dim)
+             if args.solution else [])
     with open(args.output, "w") as fh:
         fh.write(render_svg(cloud, flats))
     return 0
@@ -263,12 +249,7 @@ def cmd_bench(args) -> int:
         denom = sum((x - mx) ** 2 for x in xs)
         slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
         rows.append(f"# log-log slope\t{slope:.3f}")
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write_text(args.output, "\n".join(rows) + "\n")
     return 0
 
 
@@ -378,7 +359,10 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite result is refused when it is written, so numpy's
+        # overflow warnings would only repeat that error on stderr.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except GuardLimitError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return 3

@@ -1,16 +1,15 @@
 """File formats: point clouds, solutions, graphs, reduction instances, manifests.
 
-All writers go through :func:`dumps_canonical`, which emits floats with 17
-significant digits so that repeated runs produce byte-identical numeric
-output.  Exact quantities are serialized as "num/den" strings (denominator
-omitted when 1) and parse back losslessly.
+All writers go through :func:`dumps_canonical`, which writes each float as the
+shortest text that reads back to the same double, so repeated runs produce
+byte-identical result files.  Exact quantities are serialized as "num/den"
+strings (denominator omitted when 1) and parse back losslessly.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,6 +17,7 @@ from . import __version__
 from .geometry import (
     MODE_FLOAT,
     MODE_RATIONAL,
+    AffineFlat,
     ClusteringSolution,
     CoverSolution,
     Hyperplane,
@@ -36,45 +36,11 @@ from .reductions import (
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text; floats carry 17 significant digits."""
-    pieces: list[str] = []
-    _emit(obj, pieces)
-    return "".join(pieces)
-
-
-def _emit(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite number {obj!r} as JSON")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(val, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, val in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(val, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+    """Compact JSON text; floats are written as their shortest round-trip repr."""
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise ValueError("cannot write a non-finite number as JSON") from None
 
 
 def sha256_file(path: str) -> str:
@@ -86,7 +52,7 @@ def sha256_file(path: str) -> str:
 
 
 def build_manifest(command: str, argv: Sequence[str], inputs: Sequence[str],
-                   seed: int | None, wall_time_s: float) -> dict:
+                   seed: int | None) -> dict:
     return {
         "tool": "flatcover",
         "version": __version__,
@@ -94,7 +60,6 @@ def build_manifest(command: str, argv: Sequence[str], inputs: Sequence[str],
         "argv": list(argv),
         "rng_seed": seed,
         "inputs": {path: sha256_file(path) for path in inputs},
-        "wall_time_s": wall_time_s,
     }
 
 
@@ -128,6 +93,10 @@ def _int(value, what: str) -> int:
 
 def _ints(values, what: str) -> list:
     return [_int(v, what) for v in _list(values, what)]
+
+
+def _floats(values, what: str) -> tuple:
+    return tuple(parse_scalar(v, MODE_FLOAT) for v in _list(values, what))
 
 
 def _pair(values, what: str) -> tuple:
@@ -170,11 +139,8 @@ def cloud_from_obj(data: dict) -> WeightedPointCloud:
         raise ValueError(f"dim must be an integer, got {dim!r:.40}")
     records = []
     for p in _list(points, "points"):
-        if not isinstance(p, dict):
-            raise ValueError(f"a point must be a JSON object, got {p!r:.40}")
-        coords = p["coords"]
-        if not isinstance(coords, list):
-            raise ValueError(f"coords must be a list, got {coords!r:.40}")
+        p = _object(p, "a point")
+        coords = _list(p["coords"], "coords")
         records.append(PointRecord(tuple(parse_scalar(c, mode) for c in coords),
                                    _parse_mult(p.get("mult", 1))))
     return WeightedPointCloud(dim, mode, tuple(records))
@@ -186,7 +152,7 @@ def cloud_to_csv(cloud: WeightedPointCloud, include_mult: bool = False) -> str:
         raise ValueError("CSV format is float-mode only")
     lines = []
     for r in cloud.records:
-        cells = [format(float(c), ".17g") for c in r.coords]
+        cells = [repr(float(c)) for c in r.coords]
         if include_mult:
             cells.append(str(r.mult))
         lines.append(",".join(cells))
@@ -227,6 +193,18 @@ def clustering_solution_to_obj(sol: ClusteringSolution, r: int) -> dict:
                    "offset": [float(c) for c in f.offset]} for f in sol.flats],
         "assignment": list(sol.assignment),
     }
+
+
+def clustering_flats_from_obj(data: dict, dim: int) -> list:
+    """The flats of a ``cluster`` result as float flats in ``dim`` dimensions."""
+    data = _object(data, "a clustering solution")
+    flats = []
+    for f in _list(data["flats"], "flats"):
+        f = _object(f, "a flat")
+        basis = tuple(_floats(col, "a basis vector") for col in _list(f["basis"], "basis"))
+        flats.append(AffineFlat(dim, len(basis), basis, _floats(f["offset"], "offset"),
+                                MODE_FLOAT))
+    return flats
 
 
 def cover_solution_to_obj(sol: CoverSolution) -> dict:

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .cover import verify_cover
 from .errors import GuardLimitError, IntegrityError, ScalarModeError
 from .geometry import (
     MODE_RATIONAL,
@@ -213,7 +214,6 @@ def dominating_set_to_cover_witness(inst: VandermondeInstance,
     if not inst.graph.is_dominating(subset):
         raise ValueError("the supplied vertex set is not dominating")
     planes = [axis_one_plane(inst.dim, v) for v in subset]
-    from .cover import verify_cover
     if not verify_cover(inst.cloud, planes):
         raise IntegrityError("forward witness fails to cover the instance")
     return planes
@@ -229,7 +229,6 @@ def cover_to_dominating_set(inst: VandermondeInstance,
     dominates all of them.  An empty intersection or a non-dominating result
     signals a violated construction invariant and raises, never repairs.
     """
-    from .cover import verify_cover
     if not verify_cover(inst.cloud, planes):
         raise ValueError("the supplied planes do not cover the instance")
     d = inst.dim

@@ -54,6 +54,8 @@ def test_float17_formatting_roundtrips():
     vals = [0.1, 1.0 / 3.0, 1e-300, 123456789.123456789, -2.5e17]
     text = fio.dumps_canonical(vals)
     assert json.loads(text) == vals
+    # The shortest text that reads back to the same double; 1.0 stays a float.
+    assert fio.dumps_canonical([0.1, 1.0, -2.5e17]) == "[0.1,1.0,-2.5e+17]"
 
 
 def test_csv_roundtrip_with_mult():
@@ -92,7 +94,7 @@ def test_rmis_instance_roundtrip_preserves_audit():
 def test_manifest_fields(tmp_path):
     f = tmp_path / "x.json"
     f.write_text("{}")
-    m = fio.build_manifest("fit", ["fit", str(f)], [str(f)], 7, 0.25)
+    m = fio.build_manifest("fit", ["fit", str(f)], [str(f)], 7)
     assert m["tool"] == "flatcover"
     assert m["rng_seed"] == 7
     assert str(f) in m["inputs"]

@@ -16,6 +16,17 @@ def test_package_has_no_assert_statements():
     assert not found, f"assert statements vanish under python -O: {found}"
 
 
+def test_package_has_no_function_level_imports():
+    # An import inside a function hides a dependency, and a cycle or a missing
+    # module, until the first call.
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not found, f"imports inside a function body: {found}"
+
+
 def _imported_names(tree: ast.AST) -> dict:
     """Name bound by each import statement in a module -> its line number."""
     names = {}
