@@ -70,7 +70,7 @@ def _write_text(path: str | None, text: str) -> None:
 def _write_output(args, payload: dict, command: str, inputs: list,
                   seed: int | None) -> None:
     payload = dict(payload)
-    payload["manifest"] = fio.build_manifest(command, sys.argv[1:], inputs, seed)
+    payload["manifest"] = fio.build_manifest(command, args.argv, inputs, seed)
     _write_text(args.output, fio.dumps_canonical(payload) + "\n")
 
 
@@ -356,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
+    args.argv = list(argv)
     try:
         # A non-finite result is refused when it is written, so numpy's
         # overflow warnings would only repeat that error on stderr.

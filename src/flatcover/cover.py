@@ -1,8 +1,9 @@
 """Exact decision/search for covering rational point sets with k hyperplanes.
 
-Everything here runs in exact rational arithmetic; membership is equation
-evaluation with an exact zero test.  Float clouds are rejected because a
-zero-budget cover is meaningless under roundoff.
+Everything here runs in exact integer arithmetic on a rational cloud's int
+numerators over its one denominator; membership is equation evaluation with
+an exact zero test.  Float clouds are rejected because a zero-budget cover
+is meaningless under roundoff.
 
 The search is a depth-first assignment of positions to at most k slots,
 tracking each slot's affine hull exactly; a slot stays feasible while its
@@ -39,7 +40,7 @@ from .errors import (
     IntegrityError,
     ScalarModeError,
 )
-from .fitting import echelon_row, fit_hyperplane_exact, integer_points, reduce_row
+from .fitting import echelon_row, fit_hyperplane_exact, reduce_row
 from .geometry import (
     MODE_RATIONAL,
     CoverSolution,
@@ -64,8 +65,9 @@ def verify_cover(cloud: WeightedPointCloud, hyperplanes: Sequence[Hyperplane]) -
     for h in hyperplanes:
         if h.dim != cloud.dim:
             raise DimensionMismatchError("hyperplane dimension differs from cloud")
+    den = cloud.den
     for pos in cloud.distinct_positions():
-        if not any(h.contains(pos) for h in hyperplanes):
+        if not any(h.contains(pos, den) for h in hyperplanes):
             return False
     return True
 
@@ -90,7 +92,7 @@ def solve_cover(cloud: WeightedPointCloud, k: int, *,
         return CoverSolution(())
     if k == 0:
         return None
-    planes = _solve_partition(positions, cloud.dim, k, guard)
+    planes = _solve_partition(positions, cloud.den, k, guard)
     if planes is None:
         return None
     if not verify_cover(cloud, planes):
@@ -159,9 +161,8 @@ def _some_plane_holds(pts, target):
 # partition search
 
 
-def _solve_partition(positions, d, k, guard):
-    pts = integer_points(positions)
-    n = len(pts)
+def _solve_partition(pts, den, k, guard):
+    n, d = len(pts), len(pts[0])
     target = -(-n // k)
     # The cut's hashing, bounded by its worst case C(n, d) - C(target-1, d).
     if (2 <= d <= 3 and n > k * d
@@ -213,8 +214,8 @@ def _solve_partition(positions, d, k, guard):
         return None
     planes = []
     for base, rows, reps in final:
-        frame = [positions[base]] + [positions[i] for i in reps]
-        planes.append(fit_hyperplane_exact(frame))
+        frame = [pts[base]] + [pts[i] for i in reps]
+        planes.append(fit_hyperplane_exact(frame, den))
     return planes
 
 
@@ -243,11 +244,10 @@ def forced_line_kernel(cloud: WeightedPointCloud, k: int) -> Optional[KernelResu
         raise DimensionMismatchError("forced_line_kernel requires d = 2")
     if k < 0:
         raise ValueError("k must be >= 0")
-    positions = cloud.distinct_positions()
-    pts = integer_points(positions)
+    pts = cloud.distinct_positions()
     forced: list[Hyperplane] = []
     k_cur = k
-    while k_cur >= 1 and len(positions) >= 2:
+    while k_cur >= 1 and len(pts) >= 2:
         lines: dict[tuple, set] = {}
         for (i, p), (j, q) in itertools.combinations(enumerate(pts), 2):
             key = _plane_key(p, [(q[0] - p[0], q[1] - p[1])])
@@ -257,19 +257,18 @@ def forced_line_kernel(cloud: WeightedPointCloud, k: int) -> Optional[KernelResu
             break
         # Force a line with the most members; ties go to the smallest
         # normalized coefficients, so only those lines need a Hyperplane.
-        heaviest = {fit_hyperplane_exact([positions[i] for i in sorted(m)[:2]]).coeffs: m
+        heaviest = {fit_hyperplane_exact([pts[i] for i in sorted(m)[:2]], cloud.den).coeffs: m
                     for m in lines.values() if len(m) == most}
         coeffs = min(heaviest)
         members = heaviest[coeffs]
         forced.append(Hyperplane(coeffs))
-        positions = [p for t, p in enumerate(positions) if t not in members]
         pts = [p for t, p in enumerate(pts) if t not in members]
         k_cur -= 1
-    if len(positions) > k_cur * k_cur:
+    if len(pts) > k_cur * k_cur:
         return None
-    kept = set(positions)
+    kept = set(pts)
     reduced_records = tuple(r for r in cloud.records if r.coords in kept)
-    reduced = WeightedPointCloud(cloud.dim, cloud.mode, reduced_records)
+    reduced = WeightedPointCloud(cloud.dim, cloud.mode, reduced_records, cloud.den)
     return KernelResult(reduced, tuple(forced), k_cur)
 
 

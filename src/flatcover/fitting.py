@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -109,19 +108,10 @@ def fit_points(X: np.ndarray, w: np.ndarray, r: int) -> FitResult:
 # fraction-free integer echelon form
 #
 # Every exact span computation (hyperplane fits here, slot hulls in the cover
-# search) scales its points to integers once and keeps a basis of direction
-# rows as (pivot, row) pairs.  A row is zero at the pivots of all rows added
-# before it, so reducing against the rows in order clears every pivot.
-
-
-def integer_points(points: Sequence[Sequence]) -> list[tuple]:
-    """Rational points scaled by the lcm of all coordinate denominators."""
-    lcm = 1
-    for p in points:
-        for c in p:
-            den = Fraction(c).denominator
-            lcm = lcm * den // math.gcd(lcm, den)
-    return [tuple(int(Fraction(c) * lcm) for c in p) for p in points]
+# search) works on a rational cloud's int numerators and keeps a basis of
+# direction rows as (pivot, row) pairs.  A row is zero at the pivots of all
+# rows added before it, so reducing against the rows in order clears every
+# pivot.
 
 
 def reduce_row(v: Sequence[int], rows: Sequence[tuple]) -> Sequence[int]:
@@ -144,9 +134,12 @@ def echelon_row(v: Sequence[int]) -> tuple:
     return piv, tuple(c // g for c in v)
 
 
-def fit_hyperplane_exact(points: Sequence[Sequence]) -> Hyperplane:
+def fit_hyperplane_exact(points: Sequence[Sequence[int]], den: int = 1) -> Hyperplane:
     """Exact normalized hyperplane through up to d affinely independent points.
 
+    The points are int numerators over the common denominator ``den``, as a
+    rational cloud stores them.  The plane c0 + n.p = 0 through the
+    numerators p is c0 + (den*n).x = 0 in the real coordinates x = p/den.
     With d points spanning affine dimension d-1 the hyperplane is unique.
     With fewer points the affine hull is completed deterministically by
     appending standard-basis directions e_1, e_2, ... in order, skipping any
@@ -155,17 +148,16 @@ def fit_hyperplane_exact(points: Sequence[Sequence]) -> Hyperplane:
     if not points:
         raise ValueError("need at least one point")
     for p in points:
-        if any(isinstance(c, float) for c in p):
-            raise ScalarModeError("fit_hyperplane_exact requires exact coordinates")
+        if not all(isinstance(c, int) for c in p):
+            raise ScalarModeError("fit_hyperplane_exact requires int numerators")
     d = len(points[0])
     if any(len(p) != d for p in points):
         raise DimensionMismatchError("points of mixed dimension")
     if len(points) > d:
         raise ValueError(f"at most d={d} points may be supplied")
-    pts = integer_points(points)
-    base = pts[0]
+    base = points[0]
     rows: list[tuple] = []
-    for p in pts[1:]:
+    for p in points[1:]:
         v = reduce_row([a - b for a, b in zip(p, base)], rows)
         if not any(v):
             raise AffineDependenceError("points are affinely dependent")
@@ -188,5 +180,5 @@ def fit_hyperplane_exact(points: Sequence[Sequence]) -> Hyperplane:
         g = math.gcd(num, row[piv])
         normal = [c * (row[piv] // g) for c in normal]
         normal[piv] = num // g
-    c0 = -sum(n * Fraction(x) for n, x in zip(normal, points[0]))
-    return Hyperplane((c0, *normal))
+    c0 = -sum(n * x for n, x in zip(normal, base))
+    return Hyperplane((c0, *(den * n for n in normal)))

@@ -2,11 +2,12 @@
 
 Point clouds live in one of two scalar regimes:
 
-* ``"rational"`` - exact arbitrary-precision rationals (``fractions.Fraction``,
-  always in lowest terms with positive denominator).  Used by the cover
-  solvers and the reduction generators, whose coordinates overflow any float.
-* ``"float"`` - IEEE binary64.  Used by the clustering numerics, which have
-  no closed rational form.
+* ``"rational"`` - exact rationals stored as Python ``int`` numerators over
+  one cloud-wide denominator ``den`` (coordinate ``c`` is ``c / den``), put
+  in lowest terms once when the cloud is built.  Used by the cover solvers
+  and the reduction generators, whose coordinates overflow any float.
+* ``"float"`` - IEEE binary64 with ``den`` 1.  Used by the clustering
+  numerics, which have no closed rational form.
 
 Affine flats are float-only: the clustering objective over r-flats is float
 numerics throughout.  The exact objects are :class:`Hyperplane` for covers
@@ -18,9 +19,10 @@ rational point or cloud against a flat raises :class:`ScalarModeError`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,23 +32,31 @@ from .errors import (
     ScalarModeError,
 )
 
-Scalar = Union[Fraction, float]
-
 MODE_RATIONAL = "rational"
 MODE_FLOAT = "float"
 
+# The only rational text: an integer, or a numerator over a denominator.
+# Fraction(text) would also take exponents, and "1e10000000" takes seconds.
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
-def parse_scalar(text, mode: str) -> Scalar:
-    """Parse a JSON-level scalar: "num/den" strings in rational mode, numbers in float mode."""
+
+def parse_scalar(text, mode: str):
+    """Parse a JSON-level scalar: in rational mode an int or "[+-]digits[/digits]"
+    text (a Fraction only for "num/den"), in float mode a finite number."""
     if mode == MODE_RATIONAL:
-        if isinstance(text, str):
-            try:
-                return Fraction(text)
-            except ZeroDivisionError:
-                raise ValueError(f"rational scalar with a zero denominator: {text!r}") from None
-        if isinstance(text, int):
-            return Fraction(text)
-        raise ScalarModeError(f"rational scalar must be a string or int, got {text!r}")
+        if type(text) is int:
+            return text
+        if not isinstance(text, str):
+            raise ScalarModeError(f"rational scalar must be a string or int, got {text!r:.40}")
+        match = _RATIONAL_TEXT.fullmatch(text)
+        if match is None:
+            raise ValueError(f"rational scalars are written num or num/den, got {text!r:.40}")
+        num, den = match.groups()
+        if den is None:
+            return int(num)
+        if not int(den):
+            raise ValueError(f"rational scalar with a zero denominator: {text!r:.40}")
+        return Fraction(int(num), int(den))
     if mode == MODE_FLOAT:
         if isinstance(text, float):
             value = text
@@ -61,21 +71,6 @@ def parse_scalar(text, mode: str) -> Scalar:
             raise ValueError(f"float scalars must be finite, got {text!r}")
         return value
     raise ValueError(f"unknown scalar mode {mode!r}")
-
-
-def format_scalar(value: Fraction) -> str:
-    """Inverse of :func:`parse_scalar` in rational mode; denominators of 1 are omitted."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _coerce(value, mode: str) -> Scalar:
-    if mode == MODE_RATIONAL:
-        if isinstance(value, float):
-            raise ScalarModeError("float value in a rational-mode object")
-        return Fraction(value)
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -93,11 +88,14 @@ class PointRecord:
 
 @dataclass(frozen=True)
 class WeightedPointCloud:
-    """d-dimensional points with multiplicities, in a single scalar regime."""
+    """d-dimensional points with multiplicities, in a single scalar regime.
+
+    Rational records may come with int or Fraction coordinates over any ``den``."""
 
     dim: int
     mode: str
     records: tuple
+    den: int = 1
 
     def __post_init__(self):
         if self.mode not in (MODE_RATIONAL, MODE_FLOAT):
@@ -108,12 +106,19 @@ class WeightedPointCloud:
                 raise DimensionMismatchError(
                     f"record of length {len(rec.coords)} in a dim-{self.dim} cloud"
                 )
+        den = self.den
+        if self.mode == MODE_FLOAT and den != 1:
+            raise ValueError(f"a float cloud has den 1, got {den!r:.40}")
+        if self.mode == MODE_RATIONAL and (
+                den != 1 or any(type(c) is not int for rec in recs for c in rec.coords)):
+            recs, den = _lowest_terms(recs, den)
         object.__setattr__(self, "records", recs)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def create(cls, points: Iterable[Sequence], mode: str, mults: Iterable[int] | None = None,
                dim: int | None = None) -> "WeightedPointCloud":
-        pts = [tuple(_coerce(c, mode) for c in p) for p in points]
+        pts = [tuple(p if mode == MODE_RATIONAL else map(float, p)) for p in points]
         if dim is None:
             if not pts:
                 raise ValueError("cannot infer dimension of an empty cloud")
@@ -128,10 +133,7 @@ class WeightedPointCloud:
         return sum(r.mult for r in self.records)
 
     def distinct_positions(self) -> list:
-        seen = {}
-        for r in self.records:
-            seen.setdefault(r.coords, None)
-        return list(seen)
+        return list(dict.fromkeys(r.coords for r in self.records))
 
     def coords_array(self) -> np.ndarray:
         if self.mode != MODE_FLOAT:
@@ -144,6 +146,20 @@ class WeightedPointCloud:
             return np.array([r.mult for r in self.records], dtype=float)
         except OverflowError:
             raise ValueError("a multiplicity is beyond the float64 range") from None
+
+
+def _lowest_terms(records: tuple, den) -> tuple:
+    """(records, den) as int numerators over the least common denominator."""
+    if type(den) is not int or den < 1:
+        raise ValueError(f"a cloud denominator must be a positive integer, got {den!r:.40}")
+    if any(isinstance(c, float) for rec in records for c in rec.coords):
+        raise ScalarModeError("float value in a rational-mode cloud")
+    rows = [[c if type(c) is int else Fraction(c) for c in rec.coords] for rec in records]
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
+    rows = [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+    g = math.gcd(den * scale, *(c for row in rows for c in row))
+    return (tuple(PointRecord(tuple(c // g for c in row), rec.mult)
+                  for row, rec in zip(rows, records)), den * scale // g)
 
 
 @dataclass(frozen=True)
@@ -208,38 +224,27 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, point: Sequence) -> Scalar:
+    def contains(self, point: Sequence, den: int = 1) -> bool:
+        """Whether the point point/den lies on the plane: c0*den + c.point == 0."""
         if len(point) != self.dim:
             raise DimensionMismatchError(
                 f"point of dim {len(point)} against hyperplane of dim {self.dim}")
-        acc = self.coeffs[0]
-        for c, x in zip(self.coeffs[1:], point):
-            acc += c * x
-        return acc
-
-    def contains(self, point: Sequence) -> bool:
-        return self.evaluate(point) == 0
+        c0, *normal = self.coeffs
+        return c0 * den + sum(c * x for c, x in zip(normal, point)) == 0
 
 
 def normalize_coeffs(coeffs: Sequence) -> tuple:
     """Scale rational coefficients to the canonical coprime-integer form."""
-    fr = [Fraction(c) if not isinstance(c, Fraction) else c for c in coeffs]
-    if all(c == 0 for c in fr[1:]):
+    if not all(type(c) is int for c in coeffs):
+        fr = [Fraction(c) for c in coeffs]
+        lcm = math.lcm(*(c.denominator for c in fr))
+        coeffs = [c.numerator * (lcm // c.denominator) for c in fr]
+    if not any(coeffs[1:]):
         raise ValueError("hyperplane requires a nonzero linear part")
-    lcm = 1
-    for c in fr:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in fr]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    ints = [v // g for v in ints]
-    for v in ints[1:]:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+    g = math.gcd(*coeffs)
+    if next(c for c in coeffs[1:] if c) < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 All writers go through :func:`dumps_canonical`, which writes each float as the
 shortest text that reads back to the same double, so repeated runs produce
 byte-identical result files.  Exact quantities are serialized as "num/den"
-strings (denominator omitted when 1) and parse back losslessly.
+strings (denominator omitted when 1) and parse back losslessly; integer text
+is read with ``int``, and only "num/den" text builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .geometry import (
     Hyperplane,
     PointRecord,
     WeightedPointCloud,
-    format_scalar,
     parse_scalar,
 )
 from .reductions import (
@@ -111,12 +111,11 @@ def _pair(values, what: str) -> tuple:
 
 
 def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
-    if cloud.mode == MODE_RATIONAL:
-        pts = [{"coords": [format_scalar(Fraction(c)) for c in r.coords],
-                "mult": r.mult} for r in cloud.records]
-    else:
-        pts = [{"coords": [float(c) for c in r.coords], "mult": r.mult}
-               for r in cloud.records]
+    # Rational numerators are written over the cloud's den as "num/den" text.
+    den = cloud.den
+    text = (float if cloud.mode == MODE_FLOAT else str if den == 1
+            else lambda c: str(Fraction(c, den)))
+    pts = [{"coords": [text(c) for c in r.coords], "mult": r.mult} for r in cloud.records]
     return {"dim": cloud.dim, "scalar": cloud.mode, "points": pts}
 
 
@@ -283,6 +282,11 @@ def ds_instance_to_obj(inst: VandermondeInstance) -> dict:
     }
 
 
+def _decimal(value):
+    """Integers as decimal strings, inside nested lists and tuples too."""
+    return [_decimal(v) for v in value] if isinstance(value, (list, tuple)) else str(value)
+
+
 def rmis_instance_to_obj(inst: RmisInstance) -> dict:
     par = inst.params
     meta = inst.meta
@@ -296,22 +300,13 @@ def rmis_instance_to_obj(inst: RmisInstance) -> dict:
             "d_s": str(par.d_s), "d_l": str(par.d_l),
             "faithful": par.faithful,
         },
-        "theta": [str(t) for t in inst.tables.theta],
-        "phi": [str(t) for t in inst.tables.phi],
-        "phi_prime": [str(t) for t in inst.tables.phi_prime],
+        **{name: _decimal(getattr(inst.tables, name))
+           for name in ("theta", "phi", "phi_prime")},
         "cloud": cloud_to_obj(inst.cloud) if inst.materialized else None,
         "meta": {
-            "h_y": [[str(c) for c in row] for row in meta["h_y"]],
-            "v_x": [[str(c) for c in row] for row in meta["v_x"]],
-            "s_x": [[str(c) for c in row] for row in meta["s_x"]],
-            "fixed_horizontal": [str(c) for c in meta["fixed_horizontal"]],
-            "fixed_vertical": [str(c) for c in meta["fixed_vertical"]],
-            "half": str(meta["half"]),
-            "gh_rows": [str(c) for c in meta["gh_rows"]],
-            "gh_cols": [str(c) for c in meta["gh_cols"]],
-            "gv_rows": [str(c) for c in meta["gv_rows"]],
-            "gv_cols": [str(c) for c in meta["gv_cols"]],
-            "corner_mult": str(meta["corner_mult"]),
+            **{name: _decimal(meta[name]) for name in (
+                "h_y", "v_x", "s_x", "fixed_horizontal", "fixed_vertical", "half",
+                "gh_rows", "gh_cols", "gv_rows", "gv_cols", "corner_mult")},
             "graph": graph_to_obj(meta["graph"]),
             "graph_sha256": meta["graph_sha256"],
             "warnings": list(meta["warnings"]),
@@ -399,18 +394,12 @@ def instance_from_obj(data: dict):
         if data["cloud"] is not None:
             if slices is None:
                 raise ValueError("a materialized instance needs family_slices")
-            # Rational clouds round-trip through Fractions; reduction
-            # instances are integral, so restore plain ints for the audits.
             cloud = _instance_cloud(data["cloud"])
             if cloud.dim != 2:
                 raise ValueError(f"an rmis cloud is planar, got dim {cloud.dim}")
-            records = []
-            for rec in cloud.records:
-                x, y = rec.coords
-                if x.denominator != 1 or y.denominator != 1:
-                    raise ValueError(f"rmis coordinates must be integers, got {x}, {y}")
-                records.append(PointRecord((x.numerator, y.numerator), rec.mult))
-            cloud = WeightedPointCloud(2, MODE_RATIONAL, tuple(records))
+            if cloud.den != 1:
+                raise ValueError(f"rmis coordinates must be integers, got a "
+                                 f"denominator of {cloud.den}")
         return RmisInstance(cloud=cloud, k=_int(data["k"], "k"), B=params.B,
                             params=params, tables=tables, meta=meta)
     raise ValueError(f"unknown instance kind {kind!r}")

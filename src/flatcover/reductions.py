@@ -22,8 +22,10 @@ re-derive every count and the budget independently.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -180,9 +182,8 @@ def ds_to_hyperplane_cover(g: ColoredGraph, k_prime: int, *,
         closed = {u + 1 for u in g.closed_neighborhood(v)}
         start = row
         for _ in range(rows_per_vertex):
-            coords = tuple(
-                Fraction(1) if j in closed else Fraction(vandermonde_value(row, j))
-                for j in range(1, d + 1))
+            coords = tuple(1 if j in closed else vandermonde_value(row, j)
+                           for j in range(1, d + 1))
             records.append(PointRecord(coords, 1))
             row += 1
         groups[v] = (start, row - 1)
@@ -198,9 +199,7 @@ def ds_to_hyperplane_cover(g: ColoredGraph, k_prime: int, *,
 
 def axis_one_plane(d: int, vertex: int) -> Hyperplane:
     """The hyperplane x[vertex+1] = 1 in R^d."""
-    coeffs = [Fraction(-1)] + [Fraction(0)] * d
-    coeffs[vertex + 1] = Fraction(1)
-    return Hyperplane(tuple(coeffs))
+    return Hyperplane((-1, *(int(j == vertex) for j in range(d))))
 
 
 def dominating_set_to_cover_witness(inst: VandermondeInstance,
@@ -231,13 +230,13 @@ def cover_to_dominating_set(inst: VandermondeInstance,
     """
     if not verify_cover(inst.cloud, planes):
         raise ValueError("the supplied planes do not cover the instance")
-    d = inst.dim
-    records = inst.cloud.records
+    records, den = inst.cloud.records, inst.cloud.den
     result: set[int] = set()
     for plane in planes:
         full_groups = []
         for v, (start, end) in inst.meta["groups"].items():
-            if all(plane.contains(records[i - 1].coords) for i in range(start, end + 1)):
+            if all(plane.contains(records[i - 1].coords, den)
+                   for i in range(start, end + 1)):
                 full_groups.append(v)
         if not full_groups:
             continue
@@ -540,10 +539,12 @@ def independent_set_to_lines(inst: RmisInstance,
     return lines
 
 
-def exact_cloud_cost(cloud: WeightedPointCloud, lines: Sequence[AxisLine]):
+def exact_cloud_cost(cloud: WeightedPointCloud, lines: Sequence[AxisLine]) -> Fraction:
     """Exact sum of multiplicity * squared distance to the nearest line.
 
-    Lines must be axis-aligned so squared distances stay rational.
+    Lines must be axis-aligned so squared distances stay rational.  Gaps are
+    measured on the cloud's numerators (integers for integer lines), against
+    line coordinates scaled by den and sorted for bisection.
     """
     if cloud.mode != MODE_RATIONAL:
         raise ScalarModeError("exact cost requires a rational-mode cloud")
@@ -551,14 +552,22 @@ def exact_cloud_cost(cloud: WeightedPointCloud, lines: Sequence[AxisLine]):
         raise ValueError("axis-aligned line cost is defined in the plane")
     if not lines:
         raise ValueError("need at least one line")
-    hs = [l.c for l in lines if l.axis == "h"]
-    vs = [l.c for l in lines if l.axis == "v"]
+    den = cloud.den
+    hs, vs = (sorted(line.c * den for line in lines if line.axis == axis) for axis in "hv")
     total = 0
     for rec in cloud.records:
         x, y = rec.coords
-        best = min([abs(y - c) for c in hs] + [abs(x - c) for c in vs])
-        total += rec.mult * best * best
-    return total
+        gap = min(_nearest_gap(hs, y), _nearest_gap(vs, x))
+        total += rec.mult * gap * gap
+    return Fraction(total, den * den)
+
+
+def _nearest_gap(values: list, x: int):
+    """Distance from x to the nearest entry of a sorted list (inf when it is empty)."""
+    i = bisect.bisect_left(values, x)
+    if i == len(values):
+        return x - values[-1] if values else math.inf
+    return min(values[i] - x, x - values[i - 1]) if i else values[i] - x
 
 
 def exact_solution_cost(inst: RmisInstance, lines: Sequence[AxisLine]):
@@ -573,8 +582,9 @@ def desanitize_multiset(inst: RmisInstance):
     Points spread along +x with offsets t/(3*B*N^2) for t = 0..m-1, all
     within delta = 1/(3*B*N) of the original position and with denominators
     at most 3*B*N^2; distinctness across records holds because original
-    coordinates are integers and offsets stay below 1.  Returns the new
-    cloud together with the adjusted budget B' = B + 1.
+    coordinates are integers and offsets stay below 1.  The cloud is built
+    as numerators x*den + t over den = 3*B*N^2 (times the source cloud's
+    den).  Returns it together with the adjusted budget B' = B + 1.
     """
     if not inst.materialized:
         raise ValueError("instance was built counts-only; re-generate materialized")
@@ -583,12 +593,13 @@ def desanitize_multiset(inst: RmisInstance):
         raise ValueError("delta = 1/(3*B*N) is undefined for B = 0")
     N = inst.cloud.total_weight
     den = 3 * B * N * N
+    unit = inst.cloud.den
     records = []
     for rec in inst.cloud.records:
         x, y = rec.coords
         for t in range(rec.mult):
-            records.append(PointRecord((Fraction(x) + Fraction(t, den), Fraction(y)), 1))
-    return (WeightedPointCloud(2, MODE_RATIONAL, tuple(records)), B + 1)
+            records.append(PointRecord((x * den + t * unit, y * den), 1))
+    return (WeightedPointCloud(2, MODE_RATIONAL, tuple(records), den * unit), B + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ the solver it checks.
 
 import itertools
 import math
+from fractions import Fraction
 
 from flatcover.errors import AffineDependenceError
 from flatcover.fitting import best_fit_flat, echelon_row, fit_hyperplane_exact, reduce_row
@@ -53,11 +54,12 @@ def generate_candidates(cloud):
     for size in range(1, min(cloud.dim, len(positions)) + 1):
         for subset in itertools.combinations(positions, size):
             try:
-                h = fit_hyperplane_exact(subset)
+                h = fit_hyperplane_exact(subset, cloud.den)
             except AffineDependenceError:
                 continue
             planes.setdefault(h.coeffs, h)
-    return [(h, tuple(i for i, rec in enumerate(cloud.records) if h.contains(rec.coords)))
+    return [(h, tuple(i for i, rec in enumerate(cloud.records)
+                      if h.contains(rec.coords, cloud.den)))
             for _, h in sorted(planes.items())]
 
 
@@ -73,6 +75,30 @@ def cover_oracle(cloud, k):
             if acc == full:
                 return True
     return False
+
+
+def fraction_positions(cloud):
+    """A rational cloud's distinct positions as tuples of Fractions."""
+    return [tuple(Fraction(c, cloud.den) for c in p) for p in cloud.distinct_positions()]
+
+
+def fraction_covers(cloud, planes):
+    """Whether every position satisfies some plane's equation, substituting
+    the Fraction coordinates into c0 + c1*x1 + ... + cd*xd."""
+    return all(any(h.coeffs[0] + sum(c * x for c, x in zip(h.coeffs[1:], p)) == 0
+                   for h in planes)
+               for p in fraction_positions(cloud))
+
+
+def fraction_cloud_cost(cloud, lines):
+    """Sum of multiplicity times squared distance to the nearest axis line,
+    in Fractions, comparing each record with every line."""
+    total = Fraction(0)
+    for rec in cloud.records:
+        x, y = (Fraction(c, cloud.den) for c in rec.coords)
+        total += rec.mult * min(((y if line.axis == "h" else x) - Fraction(line.c)) ** 2
+                                for line in lines)
+    return total
 
 
 def full_rank(matrix):

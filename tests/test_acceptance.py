@@ -355,10 +355,12 @@ def test_criterion_10_desanitize():
     assert b_prime == inst.B + 1
     N = inst.cloud.total_weight
     assert cloud.total_weight == N == len(cloud.records)
-    positions = [r.coords for r in cloud.records]
+    # Coordinates are numerators over the cloud's one denominator.
+    positions = [tuple(Fraction(c, cloud.den) for c in r.coords) for r in cloud.records]
     assert len(set(positions)) == len(positions)
     delta = Fraction(1, 3 * inst.B * N)
     den_cap = 3 * inst.B * N * N
+    assert inst.cloud.den == 1
     originals = []
     for rec in inst.cloud.records:
         originals.extend([rec.coords] * rec.mult)

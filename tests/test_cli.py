@@ -5,7 +5,9 @@ import inspect
 import json
 import os
 import re
+import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -207,6 +209,42 @@ def test_verify_cover_witness_on_ds_instance(tmp_path, capsys):
     }))
     assert run(["verify", str(ipath), str(wpath)]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_manifest_records_the_argv_given_to_main(tmp_path, monkeypatch):
+    # An in-process caller's own command line is not the one main() ran.
+    monkeypatch.setattr(sys, "argv", ["host-program", "--host-option"])
+    out = tmp_path / "exact.json"
+    argv = ["gen", "random-exact", "-n", "3", "--seed", "1", "-o", str(out)]
+    assert run(argv) == 0
+    assert read_json(out)["manifest"]["argv"] == argv
+
+
+EXPONENT = "1e10000000"  # Fraction(EXPONENT) takes seconds to build
+
+
+def test_exponent_text_in_a_cloud_exits_2_quickly(tmp_path, capsys):
+    src = tmp_path / "exp.json"
+    src.write_text(json.dumps({"dim": 2, "scalar": "rational",
+                               "points": [{"coords": [EXPONENT, "0"], "mult": 1}]}))
+    t0 = time.perf_counter()
+    assert run(["cover", str(src), "-k", "1", "-o", str(tmp_path / "c.json")]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "num/den" in assert_usage_error(capsys)
+
+
+def test_exponent_text_in_a_witness_exits_2_quickly(tmp_path, capsys):
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(fio.graph_to_obj(path_graph(4))))
+    ipath = tmp_path / "inst.json"
+    assert run(["reduce-ds", str(gpath), "-k", "2", "-o", str(ipath)]) == 0
+    wpath = tmp_path / "cover.json"
+    wpath.write_text(json.dumps({"kind": "cover",
+                                 "hyperplanes": [[EXPONENT, "1", "0", "0", "0"]]}))
+    t0 = time.perf_counter()
+    assert run(["verify", str(ipath), str(wpath)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "num/den" in assert_usage_error(capsys)
 
 
 def test_reduce_rmis_and_verify(tmp_path, capsys):

@@ -17,7 +17,7 @@ from flatcover.cover import (
 from flatcover.errors import GuardLimitError, IntegrityError, ScalarModeError
 from flatcover.fitting import fit_hyperplane_exact
 from flatcover.geometry import MODE_FLOAT, MODE_RATIONAL, Hyperplane, WeightedPointCloud
-from oracles import cover_oracle, generate_candidates
+from oracles import cover_oracle, fraction_covers, fraction_positions, generate_candidates
 
 
 def rcloud(points):
@@ -49,10 +49,7 @@ def test_verify_cover_matches_substitution_oracle(seed):
     cloud = rcloud(set(pts))
     planes = [fit_hyperplane_exact([pts[0], pts[1]]) if pts[0] != pts[1]
               else fit_hyperplane_exact([pts[0]])]
-    got = verify_cover(cloud, planes)
-    expect = all(any(h.evaluate(p) == 0 for h in planes)
-                 for p in cloud.distinct_positions())
-    assert got == expect
+    assert verify_cover(cloud, planes) == fraction_covers(cloud, planes)
 
 
 def test_candidates_three_noncollinear_points():
@@ -273,15 +270,17 @@ def test_counting_cut_keeps_collinear_3d_clouds():
 
 
 def reference_kernel(cloud, k):
-    """The forced-line kernel with one exact Fraction fit per point pair: the
-    oracle the integer line hashing in forced_line_kernel must match."""
-    positions = cloud.distinct_positions()
+    """The forced-line kernel with one exact Fraction line per point pair: the
+    oracle the integer line hashing in forced_line_kernel must match.  The
+    reduced records come back as (Fraction coordinates, multiplicity)."""
+    positions = fraction_positions(cloud)
     forced = []
     k_cur = k
     while k_cur >= 1 and len(positions) >= 2:
         counts = {}
         for i, j in itertools.combinations(range(len(positions)), 2):
-            h = fit_hyperplane_exact([positions[i], positions[j]])
+            (px, py), (qx, qy) = positions[i], positions[j]
+            h = Hyperplane((qx * py - px * qy, qy - py, px - qx))
             counts.setdefault(h.coeffs, set()).update((i, j))
         best = None
         for coeffs, members in counts.items():
@@ -298,8 +297,12 @@ def reference_kernel(cloud, k):
     if len(positions) > k_cur * k_cur:
         return None
     kept = set(positions)
-    reduced = tuple(r for r in cloud.records if r.coords in kept)
-    return reduced, tuple(forced), k_cur
+    return ([rec for rec in fraction_records(cloud) if rec[0] in kept],
+            tuple(forced), k_cur)
+
+
+def fraction_records(cloud):
+    return [(tuple(Fraction(c, cloud.den) for c in r.coords), r.mult) for r in cloud.records]
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,7 +324,7 @@ def test_kernel_matches_fraction_reference(seed, k, rational):
     if expect is None:
         assert got is None
     else:
-        assert (got.reduced.records, got.forced, got.k) == expect
+        assert (fraction_records(got.reduced), got.forced, got.k) == expect
 
 
 def test_kernel_forces_heavy_line():

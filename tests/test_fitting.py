@@ -203,10 +203,11 @@ def test_fit_hyperplane_contains_inputs():
 
 
 def test_fit_hyperplane_rational_frames_d4():
-    # Non-integer coordinates exercise the common-denominator scaling; the
+    # Non-integer coordinates, given as int numerators over their common
+    # denominator, exercise the map back to real coefficients; the
     # coefficients are pinned, and one to three points exercise the e_i
     # completion.
-    pts = [(Fraction(1, 2), Fraction(-3, 4), 2, Fraction(5, 3)),
+    real = [(Fraction(1, 2), Fraction(-3, 4), 2, Fraction(5, 3)),
            (0, Fraction(7, 5), Fraction(-1, 6), 3),
            (Fraction(-2, 3), 1, Fraction(1, 4), Fraction(-5, 2)),
            (Fraction(3, 7), Fraction(-1, 2), 0, Fraction(1, 9))]
@@ -216,9 +217,12 @@ def test_fit_hyperplane_rational_frames_d4():
         3: (-10160, 0, 8180, 8130, 21),
         4: (-165330, 897603, 409930, 119928, -129528),
     }
+    den = math.lcm(*(Fraction(c).denominator for p in real for c in p))
+    pts = [tuple(int(c * den) for c in p) for p in real]
     for m, coeffs in expected.items():
-        h = fit_hyperplane_exact(pts[:m])
-        assert all(h.contains(p) for p in pts[:m])
+        h = fit_hyperplane_exact(pts[:m], den)
+        assert all(h.contains(p, den) for p in pts[:m])
+        assert all(h.contains(p) for p in real[:m])
         assert h.coeffs == coeffs
 
 

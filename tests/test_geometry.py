@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcover import io as fio
+from flatcover.cover import verify_cover
 from flatcover.errors import DimensionMismatchError, RankDeficiencyError, ScalarModeError
 from flatcover.geometry import (
     MODE_FLOAT,
@@ -16,10 +19,11 @@ from flatcover.geometry import (
     WeightedPointCloud,
     canonicalize_flat,
     dist2_point_flat,
-    format_scalar,
     parse_scalar,
     total_cost,
 )
+from flatcover.reductions import AxisLine, exact_cloud_cost
+from oracles import fraction_cloud_cost, fraction_covers
 
 
 def dist2_point_complement_form(x, comp, p, tol=1e-9):
@@ -222,9 +226,9 @@ def test_hyperplane_normalize_scale_invariant(coeffs, scale):
 
 def test_scalar_roundtrip():
     assert parse_scalar("3/2", MODE_RATIONAL) == Fraction(3, 2)
-    assert parse_scalar("-7", MODE_RATIONAL) == Fraction(-7)
-    assert format_scalar(Fraction(3, 2)) == "3/2"
-    assert format_scalar(Fraction(-7)) == "-7"
+    assert parse_scalar("-7", MODE_RATIONAL) == -7
+    assert type(parse_scalar("-7", MODE_RATIONAL)) is int
+    assert type(parse_scalar(12, MODE_RATIONAL)) is int
     assert parse_scalar(1.5, MODE_FLOAT) == 1.5
     with pytest.raises(ScalarModeError):
         parse_scalar(1.5, MODE_RATIONAL)
@@ -237,3 +241,95 @@ def test_cloud_total_weight_and_validation():
         PointRecord((1.0,), 0)
     with pytest.raises(DimensionMismatchError):
         WeightedPointCloud(2, MODE_FLOAT, (PointRecord((1.0,), 1),))
+
+
+@pytest.mark.parametrize("text", ["2.5", "1e3", "1e10000000", " 1", "1 ", "1_000", "+-1",
+                                  "1/-2", "1/+2", "1/2/3", "", "/2", "\u0661", "inf", "0x10"])
+def test_rational_text_outside_the_documented_form_is_refused(text):
+    with pytest.raises(ValueError):
+        parse_scalar(text, MODE_RATIONAL)
+
+
+def test_rational_scalar_types():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar("1/0", MODE_RATIONAL)
+    for bad in (True, None, 1.0):
+        with pytest.raises(ScalarModeError):
+            parse_scalar(bad, MODE_RATIONAL)
+
+
+# ---------------------------------------------------------------------------
+# rational clouds: int numerators over one denominator
+
+
+def assert_canonical(cloud, values):
+    """``cloud`` holds ``values`` (Fraction rows, one per record) in lowest terms."""
+    assert all(type(c) is int for r in cloud.records for c in r.coords)
+    assert [tuple(Fraction(c, cloud.den) for c in r.coords) for r in cloud.records] == values
+    assert cloud.den == math.lcm(*(Fraction(c).denominator for row in values for c in row))
+    assert math.gcd(cloud.den, *(c for r in cloud.records for c in r.coords)) == 1
+
+
+def assert_round_trips(cloud):
+    text = fio.dumps_canonical(fio.cloud_to_obj(cloud))
+    back = fio.cloud_from_obj(json.loads(text))
+    assert back == cloud
+    assert fio.dumps_canonical(fio.cloud_to_obj(back)) == text
+
+
+def test_rational_cloud_canonical_form():
+    cloud = WeightedPointCloud.create([(Fraction(1, 2), 3), (Fraction(-5, 6), 0)],
+                                      MODE_RATIONAL)
+    assert cloud.den == 6 and [r.coords for r in cloud.records] == [(3, 18), (-5, 0)]
+    # The same points as numerators over any other denominator: one form.
+    scaled = WeightedPointCloud(2, MODE_RATIONAL,
+                                tuple(PointRecord((c * 5, d * 5)) for c, d in
+                                      (r.coords for r in cloud.records)), 30)
+    assert scaled == cloud
+    assert WeightedPointCloud.create([(2, 4)], MODE_RATIONAL).den == 1
+    with pytest.raises(ValueError):
+        WeightedPointCloud(1, MODE_RATIONAL, (PointRecord((1,)),), 0)
+    with pytest.raises(ValueError):
+        WeightedPointCloud(1, MODE_FLOAT, (PointRecord((1.0,)),), 2)
+    with pytest.raises(ScalarModeError):
+        WeightedPointCloud.create([(Fraction(1, 2), 0.5)], MODE_RATIONAL)
+
+
+RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@st.composite
+def fraction_clouds(draw):
+    """(dim, Fraction rows, multiplicities) with repeated coordinates likely."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.lists(RATIONALS, min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(pool) | RATIONALS] * dim),
+                         min_size=1, max_size=8))
+    mults = draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    return dim, rows, mults
+
+
+@settings(max_examples=60, deadline=None)
+@given(fraction_clouds(), st.data())
+def test_fraction_clouds_are_canonical_and_exact(drawn, data):
+    dim, rows, mults = drawn
+    # Integer values may come in as ints, the rest as Fractions.
+    given_rows = [tuple(int(c) if c.denominator == 1 and c % 2 else c for c in row)
+                  for row in rows]
+    cloud = WeightedPointCloud.create(given_rows, MODE_RATIONAL, mults)
+    assert_canonical(cloud, rows)
+    assert_round_trips(cloud)
+    # Planes x1 = c for a subset of the first coordinates, which cover the
+    # cloud when every first coordinate is among them, and two random planes.
+    firsts = sorted({row[0] for row in rows})
+    kept = data.draw(st.lists(st.sampled_from(firsts), unique=True, max_size=len(firsts)))
+    planes = [Hyperplane((-c, 1) + (0,) * (dim - 1)) for c in kept]
+    planes += data.draw(st.lists(st.builds(
+        lambda cs: Hyperplane((cs[0], 1) + tuple(cs[1:])),
+        st.lists(RATIONALS, min_size=dim, max_size=dim)), max_size=2))
+    assert verify_cover(cloud, planes) == fraction_covers(cloud, planes)
+    if dim == 2:
+        lines = [AxisLine(axis, c) for axis, c in data.draw(st.lists(
+            st.tuples(st.sampled_from("hv"), st.sampled_from(firsts) | RATIONALS),
+            min_size=1, max_size=4))]
+        assert exact_cloud_cost(cloud, lines) == fraction_cloud_cost(cloud, lines)

@@ -1,7 +1,12 @@
+import itertools
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcover.cover import solve_cover, verify_cover
 from flatcover.generators import (
@@ -27,7 +32,8 @@ from flatcover.reductions import (
     rmis_to_line_clustering,
     vandermonde_value,
 )
-from oracles import full_rank
+from flatcover import io as fio
+from oracles import fraction_cloud_cost, fraction_covers, full_rank
 
 TOY_CONSTANTS = {"p": 2, "W": 8, "d_s": 3200, "d_l": 1000}
 
@@ -315,6 +321,48 @@ def test_exact_cloud_cost_mixes_vertical_and_horizontal_lines():
     assert cost == Fraction(4)
 
 
+@st.composite
+def clouds_and_axis_lines(draw):
+    """A planar Fraction cloud and axis lines, with records on lines and
+    records halfway between two parallel lines (ties) made likely."""
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=4)
+    lines = draw(st.lists(st.builds(AxisLine, st.sampled_from("hv"), values),
+                          min_size=1, max_size=6))
+    special = [line.c for line in lines]
+    special += [(a.c + b.c) / 2 for a, b in itertools.combinations(lines, 2)]
+    coord = st.sampled_from(special) | values
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=10))
+    mults = draw(st.lists(st.integers(1, 9), min_size=len(pts), max_size=len(pts)))
+    return WeightedPointCloud.create(pts, MODE_RATIONAL, mults), lines
+
+
+@settings(max_examples=80, deadline=None)
+@given(clouds_and_axis_lines())
+def test_exact_cloud_cost_matches_the_all_lines_oracle(drawn):
+    # Bisection over sorted line coordinates against comparing every line.
+    cloud, lines = drawn
+    assert exact_cloud_cost(cloud, lines) == fraction_cloud_cost(cloud, lines)
+
+
+def test_desanitized_cloud_is_canonical_and_exact():
+    inst = toy_instance()
+    cloud, _ = desanitize_multiset(inst)
+    # Numerators x*den + t over den = 3*B*N^2, in lowest terms.
+    assert cloud.den == 3 * inst.B * inst.cloud.total_weight ** 2
+    assert all(type(c) is int for r in cloud.records for c in r.coords)
+    assert math.gcd(cloud.den, *(c for r in cloud.records for c in r.coords)) == 1
+    text = fio.dumps_canonical(fio.cloud_to_obj(cloud))
+    back = fio.cloud_from_obj(json.loads(text))
+    assert back == cloud and fio.dumps_canonical(fio.cloud_to_obj(back)) == text
+    lines = independent_set_to_lines(inst, (2, 3))
+    assert exact_cloud_cost(cloud, lines) == fraction_cloud_cost(cloud, lines)
+    # The horizontal lines through every original row cover the spread points.
+    rows = sorted({r.coords[1] for r in inst.cloud.records})
+    planes = [Hyperplane((-y, 0, 1)) for y in rows]
+    assert verify_cover(cloud, planes) and fraction_covers(cloud, planes)
+    assert not verify_cover(cloud, planes[1:]) and not fraction_covers(cloud, planes[1:])
+
+
 def test_desanitize_contract():
     inst = toy_instance()
     cloud, b_prime = desanitize_multiset(inst)
@@ -322,10 +370,11 @@ def test_desanitize_contract():
     N = inst.cloud.total_weight
     assert cloud.total_weight == N
     assert all(r.mult == 1 for r in cloud.records)
-    positions = [r.coords for r in cloud.records]
+    positions = [tuple(Fraction(c, cloud.den) for c in r.coords) for r in cloud.records]
     assert len(set(positions)) == len(positions)
     delta = Fraction(1, 3 * inst.B * N)
     den_cap = 3 * inst.B * N * N
+    assert inst.cloud.den == 1
     # Spot-check a sample against the originals.
     originals = []
     for rec in inst.cloud.records:
@@ -351,6 +400,6 @@ def test_desanitize_multiplicity_one_unchanged():
     cloud, _ = desanitize_multiset(inst)
     # Records of multiplicity one keep their exact coordinates (offset t=0).
     src = [r.coords for r in inst.cloud.records if r.mult == 1]
-    got = {r.coords for r in cloud.records}
+    got = {tuple(Fraction(c, cloud.den) for c in r.coords) for r in cloud.records}
     for pos in src[:50]:
         assert (Fraction(pos[0]), Fraction(pos[1])) in got

@@ -51,3 +51,27 @@ def test_package_has_no_unused_imports():
         unused += [f"{path.relative_to(PACKAGE)}:{line} {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+# Rational clouds hold int numerators over one denominator; Fraction is for
+# reading and writing text and for the few results that are not integers.
+FRACTION_MODULES = {"geometry.py", "io.py", "reductions.py"}
+
+
+def test_fractions_imported_only_at_the_boundary():
+    importers = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+                importers.add(str(path.relative_to(PACKAGE)))
+    assert importers <= FRACTION_MODULES, \
+        f"fractions imported outside the allowlist: {sorted(importers - FRACTION_MODULES)}"
+
+
+def test_no_per_call_integer_rescale():
+    # Exact kernels take a cloud's numerators as they are stored; a helper
+    # that rescales rational points to integers on every call must not return.
+    found = [str(path.relative_to(PACKAGE)) for path in sorted(PACKAGE.rglob("*.py"))
+             if "integer_points" in path.read_text()]
+    assert not found, f"integer_points is back in {found}"
