@@ -33,6 +33,7 @@ from .generators import (
     random_cloud,
     random_exact_cloud,
 )
+from .geometry import parse_int
 from .reductions import (
     audit_rmis_instance,
     cover_to_dominating_set,
@@ -148,7 +149,7 @@ def cmd_reduce_rmis(args) -> int:
     overrides = {}
     for kv in args.override or []:
         key, _, val = kv.partition("=")
-        overrides[key] = int(val)
+        overrides[key] = parse_int(val, f"--override {key}")
     inst = rmis_to_line_clustering(
         g, faithful=args.faithful,
         constants=overrides or None,

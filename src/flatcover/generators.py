@@ -19,6 +19,8 @@ def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
     (cloud, planted_labels, planted_lines) where the lines are given as
     (point, direction) pairs in the rotated frame.
     """
+    if k_lines < 1:
+        raise ValueError(f"need at least one planted line, got k = {k_lines}")
     rng = make_rng(seed)
     span = 10.0 * spacing
     per_line = -(-n_points // k_lines)

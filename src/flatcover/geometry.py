@@ -38,6 +38,17 @@ MODE_FLOAT = "float"
 # The only rational text: an integer, or a numerator over a denominator.
 # Fraction(text) would also take exponents, and "1e10000000" takes seconds.
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(value, what: str) -> int:
+    """An integer as read: a JSON int or "[+-]digits" text.  Floats, booleans
+    and any other text (spaces, underscores, non-ASCII digits) are refused."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and _INT_TEXT.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r:.40}")
 
 
 def parse_scalar(text, mode: str):

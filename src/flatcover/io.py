@@ -24,6 +24,7 @@ from .geometry import (
     Hyperplane,
     PointRecord,
     WeightedPointCloud,
+    parse_int,
     parse_scalar,
 )
 from .reductions import (
@@ -81,18 +82,8 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _int(value, what: str) -> int:
-    """A JSON integer or a decimal string; floats and booleans are refused."""
-    if type(value) is not int and type(value) is not str:
-        raise ValueError(f"{what} must be an integer, got {value!r:.40}")
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise ValueError(f"{what}: {exc}") from None
-
-
 def _ints(values, what: str) -> list:
-    return [_int(v, what) for v in _list(values, what)]
+    return [parse_int(v, what) for v in _list(values, what)]
 
 
 def _floats(values, what: str) -> tuple:
@@ -120,12 +111,11 @@ def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
 
 
 def _parse_mult(value) -> int:
-    """A multiplicity as read: 1.7 and true are rejected rather than read as 1."""
-    if isinstance(value, bool) or not (
-            isinstance(value, (int, str))
-            or (isinstance(value, float) and value.is_integer())):
-        raise ValueError(f"multiplicities must be integers, got {value!r}")
-    return int(value)
+    """A multiplicity as read: a whole float such as 2.0 is taken, but 1.7
+    and true are rejected rather than read as 1."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return parse_int(value, "a multiplicity")
 
 
 def cloud_from_obj(data: dict) -> WeightedPointCloud:
@@ -165,9 +155,9 @@ def cloud_from_csv(text: str, has_mult: bool = False) -> WeightedPointCloud:
         line = line.strip()
         if not line:
             continue
-        cells = line.split(",")
+        cells = [cell.strip() for cell in line.split(",")]
         if has_mult:
-            coords, mult = cells[:-1], int(cells[-1])
+            coords, mult = cells[:-1], parse_int(cells[-1], "a multiplicity")
         else:
             coords, mult = cells, 1
         if dim is None:
@@ -256,7 +246,7 @@ def graph_from_obj(data: dict) -> ColoredGraph:
     if colors is not None:
         colors = tuple(tuple(_ints(c, "a color class"))
                        for c in _list(colors, "colors")) or None
-    return ColoredGraph(_int(data["n"], "n"),
+    return ColoredGraph(parse_int(data["n"], "n"),
                         frozenset(_pair(e, "an edge")
                                   for e in _list(data["edges"], "edges")),
                         colors)
@@ -270,24 +260,14 @@ def ds_instance_to_obj(inst: VandermondeInstance) -> dict:
     return {
         "kind": "ds_cover",
         "k": inst.k,
-        "dim": inst.dim,
         "graph": graph_to_obj(inst.graph),
         "cloud": cloud_to_obj(inst.cloud),
-        "meta": {
-            "rows_per_vertex": inst.meta["rows_per_vertex"],
-            "groups": {str(v): list(se) for v, se in inst.meta["groups"].items()},
-            "base_numbers": list(inst.meta["base_numbers"]),
-            "graph_sha256": inst.meta["graph_sha256"],
-        },
     }
 
 
-def _decimal(value):
-    """Integers as decimal strings, inside nested lists and tuples too."""
-    return [_decimal(v) for v in value] if isinstance(value, (list, tuple)) else str(value)
-
-
 def rmis_instance_to_obj(inst: RmisInstance) -> dict:
+    """The paper's quantities and the records; the gadget's line and frame
+    tables are derived from the parameters when the file is read."""
     par = inst.params
     meta = inst.meta
     return {
@@ -300,17 +280,12 @@ def rmis_instance_to_obj(inst: RmisInstance) -> dict:
             "d_s": str(par.d_s), "d_l": str(par.d_l),
             "faithful": par.faithful,
         },
-        **{name: _decimal(getattr(inst.tables, name))
+        **{name: [str(v) for v in getattr(inst.tables, name)]
            for name in ("theta", "phi", "phi_prime")},
         "cloud": cloud_to_obj(inst.cloud) if inst.materialized else None,
         "meta": {
-            **{name: _decimal(meta[name]) for name in (
-                "h_y", "v_x", "s_x", "fixed_horizontal", "fixed_vertical", "half",
-                "gh_rows", "gh_cols", "gv_rows", "gv_cols", "corner_mult")},
             "graph": graph_to_obj(meta["graph"]),
-            "graph_sha256": meta["graph_sha256"],
             "warnings": list(meta["warnings"]),
-            "record_estimate": meta["record_estimate"],
             "family_slices": ({name: list(se) for name, se in
                                meta["family_slices"].items()}
                               if meta["family_slices"] else None),
@@ -326,70 +301,54 @@ def _instance_cloud(data) -> WeightedPointCloud:
 
 
 def instance_from_obj(data: dict):
+    """A reduction instance; fields that older writers added and that are
+    derived from the graph and parameters (line tables, vertex groups) are
+    ignored."""
     data = _object(data, "an instance")
     kind = data.get("kind")
     if kind == "ds_cover":
-        m = _object(data["meta"], "meta")
         cloud = _instance_cloud(data["cloud"])
         graph = graph_from_obj(data["graph"])
-        if graph.n_vertices != cloud.dim:
-            raise ValueError(f"a graph on {graph.n_vertices} vertices needs a "
-                             f"{graph.n_vertices}-dimensional cloud, got dim {cloud.dim}")
-        groups = {}
-        for v, se in _object(m["groups"], "groups").items():
-            start, end = _pair(se, "a vertex group")
-            if not 1 <= start <= end <= len(cloud.records):
-                raise ValueError(f"vertex group {v} spans rows {start}..{end} "
-                                 f"of {len(cloud.records)}")
-            groups[_int(v, "a group vertex")] = (start, end)
-        meta = {
-            "rows_per_vertex": _int(m["rows_per_vertex"], "rows_per_vertex"),
-            "groups": groups,
-            "base_numbers": tuple(_ints(m["base_numbers"], "base_numbers")),
-            "graph_sha256": m["graph_sha256"],
-        }
-        return VandermondeInstance(cloud=cloud, k=_int(data["k"], "k"),
-                                   graph=graph, meta=meta)
+        k, d = parse_int(data["k"], "k"), graph.n_vertices
+        if d != cloud.dim:
+            raise ValueError(f"a graph on {d} vertices needs a "
+                             f"{d}-dimensional cloud, got dim {cloud.dim}")
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        if len(cloud.records) != d * d * k:
+            raise ValueError(f"k = {k} on {d} vertices needs d^2*k = {d * d * k} "
+                             f"points, got {len(cloud.records)}")
+        return VandermondeInstance(cloud=cloud, k=k, graph=graph)
     if kind == "rmis":
         par = _object(data["params"], "params")
         faithful = par["faithful"]
         if not isinstance(faithful, bool):
             raise ValueError(f"faithful must be true or false, got {faithful!r:.40}")
         params = RmisParameters(
-            **{name: _int(par[name], name)
+            **{name: parse_int(par[name], name)
                for name in ("ell", "nu", "n", "q", "p", "W", "d_s", "d_l")},
-            B=_int(data["B"], "B"), faithful=faithful)
+            B=parse_int(data["B"], "B"), faithful=faithful)
         tables = ThetaTables(tuple(_ints(data["theta"], "theta")),
                              tuple(_ints(data["phi"], "phi")),
                              tuple(_ints(data["phi_prime"], "phi_prime")))
         m = _object(data["meta"], "meta")
+        graph = graph_from_obj(m["graph"])
+        # The derived tables span ell x nu lines: the graph bounds them.
+        classes = graph.colors or ()
+        shape = (graph.n_vertices, len(classes), len(classes[0]) if classes else 0)
+        if shape != (params.n, params.ell, params.nu):
+            raise ValueError(
+                f"params.n, ell, nu are {params.n}, {params.ell}, {params.nu} but the "
+                f"instance graph has {shape[0]} vertices in {shape[1]} color "
+                f"classes of {shape[2]}")
         slices = m["family_slices"]
         meta = {
-            "fixed_horizontal": _pair(m["fixed_horizontal"], "fixed_horizontal"),
-            "fixed_vertical": _pair(m["fixed_vertical"], "fixed_vertical"),
-            "half": _int(m["half"], "half"),
-            "gh_rows": _ints(m["gh_rows"], "gh_rows"),
-            "gh_cols": _ints(m["gh_cols"], "gh_cols"),
-            "gv_rows": _ints(m["gv_rows"], "gv_rows"),
-            "gv_cols": _ints(m["gv_cols"], "gv_cols"),
-            "corner_mult": _int(m["corner_mult"], "corner_mult"),
-            "graph": graph_from_obj(m["graph"]),
-            "graph_sha256": m["graph_sha256"],
+            "graph": graph,
             "warnings": list(_list(m["warnings"], "warnings")),
-            "record_estimate": _int(m["record_estimate"], "record_estimate"),
             "family_slices": None if slices is None else {
                 name: _pair(se, "a family slice")
                 for name, se in _object(slices, "family_slices").items()},
         }
-        if meta["graph"].n_vertices != params.n:
-            raise ValueError(f"params.n is {params.n} but the instance graph has "
-                             f"{meta['graph'].n_vertices} vertices")
-        # Line tables are ell rows of nu coordinates, indexed [i-1][j-1].
-        for name in ("h_y", "v_x", "s_x"):
-            rows = [_ints(row, name) for row in _list(m[name], name)]
-            if len(rows) != params.ell or any(len(row) != params.nu for row in rows):
-                raise ValueError(f"{name} must hold {params.ell} rows of {params.nu}")
-            meta[name] = rows
         cloud = None
         if data["cloud"] is not None:
             if slices is None:
@@ -400,6 +359,6 @@ def instance_from_obj(data: dict):
             if cloud.den != 1:
                 raise ValueError(f"rmis coordinates must be integers, got a "
                                  f"denominator of {cloud.den}")
-        return RmisInstance(cloud=cloud, k=_int(data["k"], "k"), B=params.B,
+        return RmisInstance(cloud=cloud, k=parse_int(data["k"], "k"), B=params.B,
                             params=params, tables=tables, meta=meta)
     raise ValueError(f"unknown instance kind {kind!r}")

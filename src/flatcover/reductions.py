@@ -16,18 +16,20 @@ Two constructions are materialized:
   independent from non-independent selections.
 
 Instances carry exact integer coordinates (multiplicity-compressed, since
-corner stacks are astronomically heavy) plus the coordinate tables needed to
-re-derive every count and the budget independently.
+corner stacks are astronomically heavy), the source graph and the parameters.
+Everything else about the geometry is derived from those: a Dominating Set
+instance's vertex groups from d and k', and the gadget's line and frame
+coordinates by :func:`gadget_tables`.  The audit checks an instance's records
+against those derived tables, never against tables an instance file supplies.
 """
 
 from __future__ import annotations
 
 import bisect
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cover import verify_cover
@@ -109,14 +111,6 @@ class ColoredGraph:
             raise ValueError("graph is not regular")
         return degs.pop()
 
-    def sha256(self) -> str:
-        payload = {
-            "n": self.n_vertices,
-            "edges": sorted(self.edges),
-            "colors": [list(c) for c in self.colors] if self.colors else None,
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
 
 # ---------------------------------------------------------------------------
 # Dominating Set -> Hyperplane Cover
@@ -127,7 +121,6 @@ class VandermondeInstance:
     cloud: WeightedPointCloud
     k: int
     graph: ColoredGraph
-    meta: dict = field(compare=False)
 
     @property
     def dim(self) -> int:
@@ -164,37 +157,27 @@ def ds_to_hyperplane_cover(g: ColoredGraph, k_prime: int, *,
         raise ValueError("the source graph needs at least two vertices")
     if k_prime <= 1:
         raise ValueError("k' must be greater than 1")
+    cap = resolve_guard(DEFAULT_COORD_GUARD, guard)
+    if d ** 3 * k_prime > cap:
+        raise GuardLimitError(
+            f"instance too large: d^3*k' = {d ** 3 * k_prime} coordinates exceed {cap}")
     if not allow_trivial:
         for v, deg in g.degree_map().items():
             if deg == d - 1:
                 raise ValueError(
                     f"vertex {v} is adjacent to all others; the instance "
                     "would be trivial (pass allow_trivial to build it anyway)")
-    cap = resolve_guard(DEFAULT_COORD_GUARD, guard)
-    if d ** 3 * k_prime > cap:
-        raise GuardLimitError(
-            f"instance too large: d^3*k' = {d ** 3 * k_prime} coordinates exceed {cap}")
-    rows_per_vertex = d * k_prime
     records = []
-    groups = {}
     row = 1
     for v in range(d):
         closed = {u + 1 for u in g.closed_neighborhood(v)}
-        start = row
-        for _ in range(rows_per_vertex):
+        for _ in range(d * k_prime):
             coords = tuple(1 if j in closed else vandermonde_value(row, j)
                            for j in range(1, d + 1))
             records.append(PointRecord(coords, 1))
             row += 1
-        groups[v] = (start, row - 1)
     cloud = WeightedPointCloud(d, MODE_RATIONAL, tuple(records))
-    meta = {
-        "rows_per_vertex": rows_per_vertex,
-        "groups": groups,
-        "base_numbers": (2, d * d * k_prime + 1),
-        "graph_sha256": g.sha256(),
-    }
-    return VandermondeInstance(cloud=cloud, k=k_prime, graph=g, meta=meta)
+    return VandermondeInstance(cloud=cloud, k=k_prime, graph=g)
 
 
 def axis_one_plane(d: int, vertex: int) -> Hyperplane:
@@ -231,13 +214,12 @@ def cover_to_dominating_set(inst: VandermondeInstance,
     if not verify_cover(inst.cloud, planes):
         raise ValueError("the supplied planes do not cover the instance")
     records, den = inst.cloud.records, inst.cloud.den
+    rows = inst.dim * inst.k  # vertex v owns rows v*d*k'+1 .. (v+1)*d*k'
     result: set[int] = set()
     for plane in planes:
-        full_groups = []
-        for v, (start, end) in inst.meta["groups"].items():
-            if all(plane.contains(records[i - 1].coords, den)
-                   for i in range(start, end + 1)):
-                full_groups.append(v)
+        full_groups = [v for v in range(inst.dim)
+                       if all(plane.contains(rec.coords, den)
+                              for rec in records[v * rows:(v + 1) * rows])]
         if not full_groups:
             continue
         common = inst.graph.closed_neighborhood(full_groups[0])
@@ -292,6 +274,53 @@ class AxisLine:
 
 
 @dataclass(frozen=True)
+class GadgetTables:
+    """The gadget's line and frame coordinates, fixed by its parameters.
+
+    Line tables hold ell rows of nu coordinates, indexed [i-1][j-1]: bundle
+    i's horizontal line j is y = h_y, its vertical line x = v_x, and the
+    conflict line beside it x = s_x.  The frame is two grids, gh (rows by
+    columns) and gv (columns by rows), with a stack of corner_mult at each
+    of their eight corners on the fixed lines x, y = +-half.
+    """
+
+    half: int
+    h_y: tuple
+    v_x: tuple
+    s_x: tuple
+    gh_rows: tuple
+    gh_cols: tuple
+    gv_rows: tuple
+    gv_cols: tuple
+    corner_mult: int
+
+    @property
+    def fixed_lines(self) -> tuple:
+        return tuple(AxisLine(axis, c) for axis in "hv" for c in (self.half, -self.half))
+
+
+def gadget_tables(par: RmisParameters) -> GadgetTables:
+    """The one derivation of the gadget's geometry from (ell, nu, n, d_s, d_l)."""
+    ell, nu, n, d_s, d_l = par.ell, par.nu, par.n, par.d_s, par.d_l
+    half = (ell + 1) * d_s // 2
+    nu_half = nu // 2
+    h_y = tuple(tuple(half - i * d_s + 3 * (nu_half - j) for j in range(1, nu + 1))
+                for i in range(1, ell + 1))
+    v_x = tuple(tuple(-half + i * d_s + 10 * n * n * (j - nu_half) for j in range(1, nu + 1))
+                for i in range(1, ell + 1))
+    s_x = tuple(tuple(x - 1 for x in row) for row in v_x)
+    gh_cols = tuple(sorted({sgn * (half + d_l // 2 + (c - 1) * d_l)
+                            for c in range(1, ell + 4) for sgn in (1, -1)}))
+    return GadgetTables(
+        half=half, h_y=h_y, v_x=v_x, s_x=s_x,
+        gh_rows=tuple(half - (t - 1) * d_s for t in range(1, ell + 3)),
+        gh_cols=gh_cols,
+        gv_rows=gh_cols,  # the construction is symmetric under x <-> y
+        gv_cols=tuple(-half + (c - 1) * d_s for c in range(1, ell + 3)),
+        corner_mult=d_l + 1)
+
+
+@dataclass(frozen=True)
 class RmisInstance:
     cloud: Optional[WeightedPointCloud]
     k: int
@@ -303,6 +332,10 @@ class RmisInstance:
     @property
     def materialized(self) -> bool:
         return self.cloud is not None
+
+    @cached_property
+    def gadget(self) -> GadgetTables:
+        return gadget_tables(self.params)
 
 
 def build_theta_tables(nu: int, p: int, ell: int) -> ThetaTables:
@@ -398,21 +431,8 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     params = RmisParameters(ell=ell, nu=nu, n=n, q=q, p=p, W=W, d_s=d_s, d_l=d_l,
                             B=B, faithful=faithful)
 
-    half = (ell + 1) * d_s // 2
-    # Line coordinate tables, indexed [i-1][j-1].
-    nu_half = nu // 2
-    h_y = [[half - i * d_s + 3 * (nu_half - j) for j in range(1, nu + 1)]
-           for i in range(1, ell + 1)]
-    v_x = [[-half + i * d_s + 10 * n * n * (j - nu_half) for j in range(1, nu + 1)]
-           for i in range(1, ell + 1)]
-    s_x = [[x - 1 for x in row] for row in v_x]
-
-    gh_rows = [half - (t - 1) * d_s for t in range(1, ell + 3)]
-    outer = half + d_l // 2 + (ell + 2) * d_l
-    gh_cols = sorted({sgn * (half + d_l // 2 + (c - 1) * d_l)
-                      for c in range(1, ell + 4) for sgn in (1, -1)})
-    gv_cols = [-half + (c - 1) * d_s for c in range(1, ell + 3)]
-    gv_rows = gh_cols  # the construction is symmetric under x <-> y
+    gad = gadget_tables(params)
+    half, h_y, v_x, s_x = gad.half, gad.h_y, gad.v_x, gad.s_x
 
     color_of = {}
     for i, cls in enumerate(g.colors):
@@ -423,23 +443,7 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     if materialize is None:
         materialize = n_records_estimate <= MATERIALIZE_RECORD_LIMIT
 
-    meta = {
-        "h_y": h_y,
-        "v_x": v_x,
-        "s_x": s_x,
-        "fixed_horizontal": (half, -half),
-        "fixed_vertical": (half, -half),
-        "half": half,
-        "gh_rows": gh_rows,
-        "gh_cols": gh_cols,
-        "gv_rows": gv_rows,
-        "gv_cols": gv_cols,
-        "corner_mult": d_l + 1,
-        "graph": g,
-        "graph_sha256": g.sha256(),
-        "warnings": warnings,
-        "record_estimate": n_records_estimate,
-    }
+    meta = {"graph": g, "warnings": warnings, "record_estimate": n_records_estimate}
 
     if not materialize:
         meta["family_slices"] = None
@@ -447,16 +451,17 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
                             meta=meta)
 
     records: list[PointRecord] = []
+    outer = gad.gh_cols[-1]
     corners_h = {(x, y) for x in (-outer, outer) for y in (half, -half)}
     corners_v = {(x, y) for x in (half, -half) for y in (-outer, outer)}
     f_start = len(records)
-    for y in gh_rows:
-        for x in gh_cols:
-            mult = d_l + 1 if (x, y) in corners_h else 1
+    for y in gad.gh_rows:
+        for x in gad.gh_cols:
+            mult = gad.corner_mult if (x, y) in corners_h else 1
             records.append(PointRecord((x, y), mult))
-    for y in gv_rows:
-        for x in gv_cols:
-            mult = d_l + 1 if (x, y) in corners_v else 1
+    for y in gad.gv_rows:
+        for x in gad.gv_cols:
+            mult = gad.corner_mult if (x, y) in corners_v else 1
             records.append(PointRecord((x, y), mult))
     f_end = len(records)
 
@@ -529,13 +534,11 @@ def independent_set_to_lines(inst: RmisInstance,
     for j in selection:
         if not (1 <= j <= nu):
             raise ValueError(f"selection index {j} out of range 1..{nu}")
-    fixed_h = inst.meta["fixed_horizontal"]
-    fixed_v = inst.meta["fixed_vertical"]
-    lines = [AxisLine("h", fixed_h[0]), AxisLine("h", fixed_h[1]),
-             AxisLine("v", fixed_v[0]), AxisLine("v", fixed_v[1])]
+    gad = inst.gadget
+    lines = list(gad.fixed_lines)
     for i, j in enumerate(selection, start=1):
-        lines.append(AxisLine("h", inst.meta["h_y"][i - 1][j - 1]))
-        lines.append(AxisLine("v", inst.meta["s_x"][i - 1][j - 1]))
+        lines.append(AxisLine("h", gad.h_y[i - 1][j - 1]))
+        lines.append(AxisLine("v", gad.s_x[i - 1][j - 1]))
     return lines
 
 
@@ -609,8 +612,9 @@ def desanitize_multiset(inst: RmisInstance):
 def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict:
     """Recompute every count identity and the budget from first principles.
 
-    Materialized instances are audited against their actual records; in
-    counts-only form the per-line weights are recomputed from the graph and
+    Materialized instances are audited against their actual records, which
+    must lie on the lines :func:`gadget_tables` derives from the parameters;
+    in counts-only form the per-line weights are recomputed from the graph and
     the placement rule, one vertex at a time, so ``guard`` caps the vertex
     count n read from the parameters (GuardLimitError above it).  Returns a
     report dict of check name -> bool.
@@ -618,6 +622,11 @@ def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict
     par, tab = inst.params, inst.tables
     ell, nu, n, q, p, W, d_l = par.ell, par.nu, par.n, par.q, par.p, par.W, par.d_l
     k = inst.k
+    if not inst.materialized:
+        cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
+        if n > cap:
+            raise GuardLimitError(
+                f"instance too large: counts-only audit over n = {n} vertices exceeds {cap}")
     report = {}
 
     theta_ref = [sum((3 * (i - a)) ** 2 for a in range(1, i + 1))
@@ -642,6 +651,10 @@ def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict
     expected_Zv = n * W
     expected_Zh = ell * sum(W + f for f in tab.phi)
 
+    gad = inst.gadget
+    # Frame geometry: grids have k/2 x (k+2) points each, eight corner stacks.
+    frame = len(gad.gh_rows) * len(gad.gh_cols) + len(gad.gv_rows) * len(gad.gv_cols)
+
     if inst.materialized:
         sl = inst.meta["family_slices"]
         recs = inst.cloud.records
@@ -654,31 +667,27 @@ def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict
         report["Zv_weight"] = fam_weight("Z_v") == expected_Zv
         report["Zh_weight"] = fam_weight("Z_h") == expected_Zh
 
-        h_of_y = {y: (i, j) for i, row in enumerate(inst.meta["h_y"], 1)
-                  for j, y in enumerate(row, 1)}
-        s_of_x = {x: (i, j) for i, row in enumerate(inst.meta["s_x"], 1)
-                  for j, x in enumerate(row, 1)}
-        v_of_x = {x: (i, j) for i, row in enumerate(inst.meta["v_x"], 1)
-                  for j, x in enumerate(row, 1)}
-        per_h = {key: 0 for key in h_of_y.values()}
-        per_s = {key: 0 for key in s_of_x.values()}
-        per_v = {key: 0 for key in v_of_x.values()}
+        # X weight per derived line, keyed by coordinate; a record on no
+        # derived h line, or on neither an s nor a v line, fails its check.
+        per_h, per_s, per_v = ({c: 0 for row in table for c in row}
+                               for table in (gad.h_y, gad.s_x, gad.v_x))
+        off_h = off_sv = False
         a, b = sl["X"]
         for rec in recs[a:b]:
             x, y = rec.coords
-            per_h[h_of_y[y]] += rec.mult
-            if x in s_of_x:
-                per_s[s_of_x[x]] += rec.mult
+            if y in per_h:
+                per_h[y] += rec.mult
             else:
-                per_v[v_of_x[x]] += rec.mult
-        report["per_h_line_X"] = all(w == expected_h for w in per_h.values())
-        report["per_s_line_X"] = all(w == expected_s for w in per_s.values())
-        report["per_v_line_X"] = all(w == expected_v for w in per_v.values())
+                off_h = True
+            column = per_s if x in per_s else per_v if x in per_v else None
+            if column is None:
+                off_sv = True
+            else:
+                column[x] += rec.mult
+        report["per_h_line_X"] = not off_h and all(w == expected_h for w in per_h.values())
+        report["per_s_line_X"] = not off_sv and all(w == expected_s for w in per_s.values())
+        report["per_v_line_X"] = not off_sv and all(w == expected_v for w in per_v.values())
     else:
-        cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
-        if n > cap:
-            raise GuardLimitError(
-                f"instance too large: counts-only audit over n = {n} vertices exceeds {cap}")
         g: ColoredGraph = inst.meta["graph"]
         deg = g.degree_map()
         # Per-line weights from the placement rule: conflicts (edges plus
@@ -689,10 +698,7 @@ def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict
             p * (deg[v] + (nu - 1)) == expected_s for v in range(n))
         report["per_v_line_X"] = all(
             p * ((n - 1 - deg[v]) - (nu - 1) + 1) == expected_v for v in range(n))
-        gh = len(inst.meta["gh_rows"]) * len(inst.meta["gh_cols"])
-        gv = len(inst.meta["gv_rows"]) * len(inst.meta["gv_cols"])
-        report["F_weight"] = \
-            gh + gv + 8 * (inst.meta["corner_mult"] - 1) == expected_F
+        report["F_weight"] = frame + 8 * (gad.corner_mult - 1) == expected_F
         report["Zv_weight"] = sum(
             sum(w for _, w in _split_spots(W, [0, 1, 2, 3]))
             for _ in range(n)) == expected_Zv
@@ -700,9 +706,6 @@ def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict
             sum(w for _, w in _split_spots(W + f, [0, 1, 2, 3]))
             for f in tab.phi) == expected_Zh
 
-    # Frame geometry: grids have k/2 x (k+2) points each, eight corner stacks.
-    gh = len(inst.meta["gh_rows"]) * len(inst.meta["gh_cols"])
-    gv = len(inst.meta["gv_rows"]) * len(inst.meta["gv_cols"])
-    report["frame_positions"] = gh + gv == k * k + 2 * k
+    report["frame_positions"] = frame == k * k + 2 * k
     report["k_value"] = k == 2 * ell + 4
     return report

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 
+from .geometry import parse_int
+
 # Cap on the nodes an exact search (clustering partitions, cover slots) may
 # visit; exceeding it raises GuardLimitError, never degrades to a heuristic.
 DEFAULT_NODE_GUARD = 10**7
@@ -22,13 +24,7 @@ def resolve_guard(default: int, override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(
-                f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from None
-    return default
+    return default if env is None else parse_int(env, GUARD_ENV_VAR)
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

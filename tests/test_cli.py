@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from flatcover.cli import build_parser, main
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph, path_graph
-from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
+from flatcover.errors import GuardLimitError
+from flatcover.reductions import (
+    audit_rmis_instance,
+    ds_to_hyperplane_cover,
+    rmis_to_line_clustering,
+)
 
 
 def run(argv):
@@ -343,6 +348,41 @@ def test_wrongly_typed_json_exits_2(tmp_path, capsys, doc, command):
     assert_usage_error(capsys)
 
 
+NOT_INTEGER_TEXT = [" 1", "1_000", "\u0665", "+", "", "0x10"]
+INTEGER_SITES = ["graph-n", "witness-vertex", "json-mult", "csv-mult", "guard-env"]
+
+
+@pytest.mark.parametrize("site,text", [
+    (site, text) for site in INTEGER_SITES for text in NOT_INTEGER_TEXT
+    # The CSV reader strips its cells, so " 1" is a multiplicity of 1 there.
+    if (site, text) != ("csv-mult", " 1")])
+def test_integer_fields_take_only_digit_text(tmp_path, capsys, monkeypatch, site, text):
+    # int() would also take spaces, underscores and non-ASCII digits.
+    path, out = tmp_path / "in.json", ["-o", str(tmp_path / "out.json")]
+    if site == "graph-n":
+        path.write_text(json.dumps({"n": text, "edges": []}))
+        argv = ["reduce-ds", str(path), "-k", "2", *out]
+    elif site == "witness-vertex":
+        path.write_text(json.dumps({"kind": "dominating_set", "vertices": [0, text]}))
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(reduction_cases()["verify-ds"][1]["inst"]))
+        argv = ["verify", str(inst), str(path)]
+    elif site == "json-mult":
+        path.write_text(json.dumps({"dim": 2, "scalar": "float", "points": [
+            {"coords": [0.0, 1.0], "mult": text}]}))
+        argv = ["fit", str(path), "-r", "1", *out]
+    elif site == "csv-mult":
+        path = tmp_path / "in.csv"
+        path.write_text(f"0,0,1\n1,1,{text}\n")
+        argv = ["fit", str(path), "-r", "1", "--csv-mult", *out]
+    else:
+        monkeypatch.setenv("FLATCOVER_GUARD", text)
+        path.write_text(json.dumps(fio.graph_to_obj(path_graph(4))))
+        argv = ["reduce-ds", str(path), "-k", "2", *out]
+    assert run(argv) == 2
+    assert_usage_error(capsys)
+
+
 @pytest.mark.parametrize("command,scalar,point", [
     (["fit", "-r", "1"], "float", {"coords": [10**400, 0.0]}),
     (["fit", "-r", "1"], "float", {"coords": [0.0, 1.0], "mult": 10**400}),
@@ -394,7 +434,7 @@ def test_verify_refuses_rmis_n_unlike_its_graph(tmp_path, capsys):
     wpath = tmp_path / "witness.json"
     wpath.write_text(json.dumps({"kind": "selection", "indices": [4, 5]}))
     assert run(["verify", str(ipath), str(wpath)]) == 2
-    assert "params.n is 20" in assert_usage_error(capsys)
+    assert "params.n, ell, nu are 20, 2, 4" in assert_usage_error(capsys)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -412,9 +452,11 @@ def test_verify_refuses_rmis_n_unlike_its_graph(tmp_path, capsys):
      "must be a JSON object"),
     (["plot", "{float_cloud}", "--solution", "{nested_basis}", "-o", "{out}"],
      "must be numbers"),
+    (["gen", "planted", "-k", "0", "-o", "{out}"], "at least one planted line"),
+    (["gen", "planted", "-k", "-1", "-o", "{out}"], "at least one planted line"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "plot-witness", "plot-fit-result",
-        "plot-solution-list", "plot-nested-basis"])
+        "plot-solution-list", "plot-nested-basis", "planted-k-zero", "planted-k-negative"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
@@ -591,8 +633,8 @@ def test_reduction_cases_are_valid(tmp_path):
     ("reduce-rmis", "graph", ("n",), 10**12),
     ("verify-ds", "inst", ("k",), [2]),
     ("verify-ds", "inst", ("graph",), None),
-    ("verify-ds", "inst", ("meta", "groups", "0"), 3),
-    ("verify-ds", "inst", ("meta", "groups", "0"), [0, 99]),
+    ("verify-ds", "inst", ("k",), 3),
+    ("verify-ds", "inst", ("k",), 0),
     ("verify-ds", "witness", (), [0, 2]),
     ("verify-ds", "witness", ("vertices",), "02"),
     ("verify-ds", "witness", ("vertices",), [0.5, 2]),
@@ -601,10 +643,11 @@ def test_reduction_cases_are_valid(tmp_path):
     ("verify-rmis", "inst", (), {"kind": "rmis", "params": [1], "B": "1"}),
     ("verify-rmis", "inst", (), [1]),
     ("verify-rmis", "inst", ("params", "nu"), 2.5),
+    ("verify-rmis", "inst", ("params", "nu"), 8),
+    ("verify-rmis", "inst", ("params", "ell"), 1),
     ("verify-rmis", "inst", ("params", "faithful"), "no"),
     ("verify-rmis", "inst", ("B",), None),
     ("verify-rmis", "inst", ("theta",), 5),
-    ("verify-rmis", "inst", ("meta", "h_y"), [[None]]),
     ("verify-rmis", "inst", ("meta", "family_slices"), None),
     ("verify-rmis", "inst", ("meta", "family_slices", "F"), 5),
     ("verify-rmis", "inst", ("cloud", "points", 0, "coords", 0), "1/2"),
@@ -612,10 +655,11 @@ def test_reduction_cases_are_valid(tmp_path):
     ("verify-rmis", "witness", ("kind",), "selectoin"),
 ], ids=["graph-list", "n-list", "edges-int", "edge-of-lists", "edge-float",
         "rmis-n-null", "colors-int", "rmis-n-huge", "ds-k-list", "ds-graph-null",
-        "ds-group-int", "ds-group-out-of-range",
+        "ds-k-unlike-rows", "ds-k-zero",
         "witness-list", "vertices-string", "vertices-float", "plane-null",
         "plane-zero-denominator", "rmis-params-list", "instance-list", "nu-float",
-        "faithful-string", "B-null", "theta-int", "h_y-null", "slices-null", "slice-int",
+        "nu-unlike-classes", "ell-unlike-classes",
+        "faithful-string", "B-null", "theta-int", "slices-null", "slice-int",
         "coord-fraction", "indices-mixed", "witness-kind-misspelled"])
 def test_wrongly_typed_reduction_json_exits_2(tmp_path, capsys, case, role, path, value):
     argv, docs = reduction_cases()[case]
@@ -631,20 +675,14 @@ def test_verify_witness_vertex_out_of_range_exits_2(tmp_path, capsys, n, vertex,
     # k = 3 lets {0, 2} dominate with one vertex to spare: a vertex beyond the
     # graph or the cloud's coordinates must not index past them or wrap to
     # the last one.
-    argv, docs = reduction_cases()["verify-ds"]
-    inst = replaced(replaced(docs["inst"], ("k",), 3), ("graph", "n"), n)
+    _, docs = reduction_cases()["reduce-ds"]
+    reduce_k3 = ["reduce-ds", "{graph}", "-k", "3", "-o", "{out}"]
+    assert run_reduction_case(str(tmp_path), reduce_k3, docs) == 0
+    inst = replaced(read_json(tmp_path / "out.json"), ("graph", "n"), n)
+    argv, _ = reduction_cases()["verify-ds"]
     docs = {"inst": inst, "witness": {"kind": "dominating_set", "vertices": [0, 2, vertex]}}
     assert run_reduction_case(str(tmp_path), argv, docs) == 2
     assert message in assert_usage_error(capsys)
-
-
-def test_verify_short_line_table_exits_2(tmp_path, capsys):
-    # A counts-only instance skips the audit of the records, so a short h_y
-    # row would reach the selection's table lookup.
-    argv, docs = reduction_cases()["verify-rmis"]
-    inst = replaced(replaced(docs["inst"], ("cloud",), None), ("meta", "h_y", 1), [1])
-    assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 2
-    assert "h_y must hold 2 rows of 4" in assert_usage_error(capsys)
 
 
 def assert_guard_exit(capsys):
@@ -718,13 +756,51 @@ def test_reduce_ds_guard_caps_coordinates_before_building(tmp_path, capsys):
 
 
 def test_verify_guard_caps_counts_only_audit(tmp_path, capsys):
-    # The counts-only audit loops over the n vertices read from the file.
-    # params.n must equal the instance graph's n, so both claim 10^12.
+    # The counts-only audit loops over the n vertices of the parameters.  A
+    # file's n must match its graph's color classes, so a 10^12-vertex claim
+    # is refused before the audit; the guard still caps library callers.
     argv, docs = reduction_cases()["verify-rmis"]
     inst = replaced(replaced(docs["inst"], ("cloud",), None), ("params", "n"), str(10**12))
     inst = replaced(inst, ("meta", "graph"), {"n": 10**12, "edges": []})
-    assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 3
+    assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 2
+    assert "0 color classes" in assert_usage_error(capsys)
+    counts_only = rmis_to_line_clustering(matching_color_graph(2, 4), materialize=False)
+    n = counts_only.params.n
+    with pytest.raises(GuardLimitError, match=f"n = {n} vertices exceeds {n - 1}"):
+        audit_rmis_instance(counts_only, guard=n - 1)
+    assert all(audit_rmis_instance(counts_only, guard=n).values())
+
+
+def test_reduce_ds_guard_precedes_work_on_a_huge_graph(tmp_path, capsys):
+    argv, _ = reduction_cases()["reduce-ds"]
+    t0 = time.perf_counter()
+    assert run_reduction_case(str(tmp_path), argv, {"graph": {"n": 10**12, "edges": []}}) == 3
+    assert time.perf_counter() - t0 < 1.0
     assert_guard_exit(capsys)
+
+
+def test_audit_checks_records_against_derived_lines(tmp_path, capsys):
+    # The audit places records on the lines the parameters fix, not on
+    # tables the file supplies: records moved off them fail a named check
+    # and never reach a lookup that would raise.
+    argv, docs = reduction_cases()["verify-rmis"]
+    inst = docs["inst"]
+    d_s = int(inst["params"]["d_s"])
+    half = 3 * d_s // 2  # (ell + 1) * d_s / 2 with ell = 2
+    bundle_1 = {str(half - d_s + 3 * (2 - j)) for j in range(1, 5)}
+    shifted = replaced(inst, ("cloud", "points"), [
+        dict(p, coords=[p["coords"][0], str(int(p["coords"][1]) + 1)])
+        if p["coords"][1] in bundle_1 else p for p in inst["cloud"]["points"]])
+    x_start = inst["meta"]["family_slices"]["X"][0]
+    stray = replaced(inst, ("cloud", "points", x_start, "coords", 0), "1")
+    # The selection (1, 2) fails cost <= B on every copy, so each exits 1.
+    for doc, failed in ((inst, set()), (shifted, {"per_h_line_X"}),
+                        (stray, {"per_s_line_X", "per_v_line_X"})):
+        assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=doc)) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert {line.removeprefix("FAIL  audit: ") for line in out.splitlines()
+                if line.startswith("FAIL  audit: ")} == failed
 
 
 def json_paths(doc, prefix=()):
@@ -741,12 +817,14 @@ def json_paths(doc, prefix=()):
 
 
 # Junk for the reduction inputs.  Size fields (a graph's n, an instance's nu)
-# scale the work of a reduction or an audit.  The guard bounds only reduce-ds's
-# d^3*k' coordinates and the counts-only audit's n, and its defaults still
-# admit seconds of work and hundreds of MB per case, so junk integers stay
-# small here.
+# scale the work of a reduction or an audit.  Huge magnitudes are refused
+# before any work: reduce-ds checks its d^3*k' coordinates against the guard
+# first (exit 3), and an instance's n, ell and nu must match its graph's color
+# classes (exit 2).  The mid range the default guards still admit costs
+# seconds and hundreds of MB per case, so it stays out.
 SMALL_JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-9, 9) | st.floats()
+    | st.sampled_from([10**12, -10**12, 10**100])
     | st.sampled_from(["", "x", "3", "-1", "1/2", "2.5", "1/0"]),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=3), inner, max_size=4),
@@ -766,6 +844,7 @@ def corrupted_reduction_inputs(draw):
 @given(case=corrupted_reduction_inputs())
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_reduction_loader_fuzz_exits_0_1_or_2(case):
+    # Exit 3 is a guard refusing a huge size field, which is also an answer.
     argv, docs = case
     with tempfile.TemporaryDirectory() as tmp:
-        assert run_reduction_case(tmp, argv, docs) in (0, 1, 2)
+        assert run_reduction_case(tmp, argv, docs) in (0, 1, 2, 3)

@@ -60,12 +60,12 @@ def test_ds_points_lie_on_neighborhood_planes():
     g = path_graph(3)
     inst = ds_to_hyperplane_cover(g, 2, allow_trivial=True)
     from flatcover.reductions import axis_one_plane
+    rows = 3 * 2  # vertex v owns rows v*d*k'+1 .. (v+1)*d*k'
     for v in range(3):
-        start, end = inst.meta["groups"][v]
         for u in g.closed_neighborhood(v):
             plane = axis_one_plane(3, u)
-            for i in range(start, end + 1):
-                assert plane.contains(inst.cloud.records[i - 1].coords)
+            for rec in inst.cloud.records[v * rows:(v + 1) * rows]:
+                assert plane.contains(rec.coords)
 
 
 def test_ds_instance_rejects_universal_vertex():
@@ -260,7 +260,7 @@ def test_selected_lines_hit_expected_weights():
     hs = {l.c for l in lines if l.axis == "h"}
     vs = {l.c for l in lines if l.axis == "v"}
     # Fixed lines hit all eight corner stacks at distance zero.
-    half = inst.meta["half"]
+    half = inst.gadget.half
     assert {half, -half} <= hs and {half, -half} <= vs
     corner_weight = 0
     for rec in inst.cloud.records:
@@ -272,7 +272,7 @@ def test_selected_lines_hit_expected_weights():
     sl = inst.meta["family_slices"]
     n, p = inst.params.n, inst.params.p
     for i, j in ((1, 1), (2, 2)):
-        y = inst.meta["h_y"][i - 1][j - 1]
+        y = inst.gadget.h_y[i - 1][j - 1]
         w = sum(r.mult for r in inst.cloud.records[sl["X"][0]:sl["X"][1]]
                 if r.coords[1] == y)
         assert w == n * p
