@@ -74,8 +74,9 @@ def _check_solver_args(cloud: WeightedPointCloud, k: int, r: int) -> None:
         raise ScalarModeError("clustering solvers operate on float-mode clouds")
     if not cloud.records:
         raise ValueError("cannot cluster an empty cloud")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= len(cloud.records):
+        raise ValueError(f"k must be between 1 and the number of records "
+                         f"({len(cloud.records)}), got {k}")
     if not (0 <= r <= cloud.dim - 1):
         raise ValueError(f"flat dimension must satisfy 0 <= r <= d-1, got {r}")
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,11 +29,11 @@ from .geometry import (
     parse_scalar,
 )
 from .reductions import (
+    MATERIALIZE_RECORD_LIMIT,
     ColoredGraph,
     RmisInstance,
-    RmisParameters,
-    ThetaTables,
     VandermondeInstance,
+    rmis_to_line_clustering,
 )
 
 
@@ -101,13 +102,26 @@ def _pair(values, what: str) -> tuple:
 # point clouds
 
 
-def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
+def _point_objs(cloud: WeightedPointCloud):
+    """The points of cloud_to_obj(cloud), one at a time."""
     # Rational numerators are written over the cloud's den as "num/den" text.
     den = cloud.den
     text = (float if cloud.mode == MODE_FLOAT else str if den == 1
             else lambda c: str(Fraction(c, den)))
-    pts = [{"coords": [text(c) for c in r.coords], "mult": r.mult} for r in cloud.records]
-    return {"dim": cloud.dim, "scalar": cloud.mode, "points": pts}
+    return ({"coords": [text(c) for c in r.coords], "mult": r.mult} for r in cloud.records)
+
+
+def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
+    return {"dim": cloud.dim, "scalar": cloud.mode, "points": list(_point_objs(cloud))}
+
+
+def _is_written_form(obj, cloud: WeightedPointCloud) -> bool:
+    """Whether obj equals cloud_to_obj(cloud), compared a point at a time so
+    that the written form is never held whole."""
+    return (isinstance(obj, dict) and obj.keys() == {"dim", "scalar", "points"}
+            and obj["dim"] == cloud.dim and obj["scalar"] == cloud.mode
+            and isinstance(obj["points"], list) and len(obj["points"]) == len(cloud.records)
+            and all(map(operator.eq, obj["points"], _point_objs(cloud))))
 
 
 def _parse_mult(value) -> int:
@@ -266,48 +280,37 @@ def ds_instance_to_obj(inst: VandermondeInstance) -> dict:
 
 
 def rmis_instance_to_obj(inst: RmisInstance) -> dict:
-    """The paper's quantities and the records; the gadget's line and frame
-    tables are derived from the parameters when the file is read."""
+    """What the builder needs to rebuild the instance (the graph and the
+    relaxed constants), the budget, and the records."""
     par = inst.params
-    meta = inst.meta
     return {
         "kind": "rmis",
-        "k": inst.k,
         "B": str(inst.B),
-        "params": {
-            "ell": par.ell, "nu": par.nu, "n": par.n, "q": par.q,
-            "p": str(par.p), "W": str(par.W),
-            "d_s": str(par.d_s), "d_l": str(par.d_l),
-            "faithful": par.faithful,
-        },
-        **{name: [str(v) for v in getattr(inst.tables, name)]
-           for name in ("theta", "phi", "phi_prime")},
+        "params": {"p": str(par.p), "W": str(par.W), "d_s": str(par.d_s),
+                   "d_l": str(par.d_l), "faithful": par.faithful},
         "cloud": cloud_to_obj(inst.cloud) if inst.materialized else None,
-        "meta": {
-            "graph": graph_to_obj(meta["graph"]),
-            "warnings": list(meta["warnings"]),
-            "family_slices": ({name: list(se) for name, se in
-                               meta["family_slices"].items()}
-                              if meta["family_slices"] else None),
-        },
+        "meta": {"graph": graph_to_obj(inst.meta["graph"]),
+                 "warnings": list(inst.meta["warnings"])},
     }
 
 
-def _instance_cloud(data) -> WeightedPointCloud:
-    cloud = cloud_from_obj(data)
-    if cloud.mode != MODE_RATIONAL:
-        raise ValueError("a reduction instance needs a rational cloud")
-    return cloud
-
-
 def instance_from_obj(data: dict):
-    """A reduction instance; fields that older writers added and that are
-    derived from the graph and parameters (line tables, vertex groups) are
-    ignored."""
+    """A reduction instance.
+
+    A ``ds_cover`` file is read as it stands.  An ``rmis`` instance is rebuilt
+    by :func:`rmis_to_line_clustering` from the file's graph, ``faithful`` flag
+    and, for relaxed files, its constants p, W, d_s and d_l; the file's cloud
+    must equal the rebuilt one as the writer writes it, and ``null`` reads as
+    counts-only.  Fields that older writers added and that the graph and
+    parameters fix (``k``, the theta tables, line tables, family slices, n, ell,
+    nu, q) are ignored.
+    """
     data = _object(data, "an instance")
     kind = data.get("kind")
     if kind == "ds_cover":
-        cloud = _instance_cloud(data["cloud"])
+        cloud = cloud_from_obj(data["cloud"])
+        if cloud.mode != MODE_RATIONAL:
+            raise ValueError("a reduction instance needs a rational cloud")
         graph = graph_from_obj(data["graph"])
         k, d = parse_int(data["k"], "k"), graph.n_vertices
         if d != cloud.dim:
@@ -324,41 +327,19 @@ def instance_from_obj(data: dict):
         faithful = par["faithful"]
         if not isinstance(faithful, bool):
             raise ValueError(f"faithful must be true or false, got {faithful!r:.40}")
-        params = RmisParameters(
-            **{name: parse_int(par[name], name)
-               for name in ("ell", "nu", "n", "q", "p", "W", "d_s", "d_l")},
-            B=parse_int(data["B"], "B"), faithful=faithful)
-        tables = ThetaTables(tuple(_ints(data["theta"], "theta")),
-                             tuple(_ints(data["phi"], "phi")),
-                             tuple(_ints(data["phi_prime"], "phi_prime")))
-        m = _object(data["meta"], "meta")
-        graph = graph_from_obj(m["graph"])
-        # The derived tables span ell x nu lines: the graph bounds them.
-        classes = graph.colors or ()
-        shape = (graph.n_vertices, len(classes), len(classes[0]) if classes else 0)
-        if shape != (params.n, params.ell, params.nu):
-            raise ValueError(
-                f"params.n, ell, nu are {params.n}, {params.ell}, {params.nu} but the "
-                f"instance graph has {shape[0]} vertices in {shape[1]} color "
-                f"classes of {shape[2]}")
-        slices = m["family_slices"]
-        meta = {
-            "graph": graph,
-            "warnings": list(_list(m["warnings"], "warnings")),
-            "family_slices": None if slices is None else {
-                name: _pair(se, "a family slice")
-                for name, se in _object(slices, "family_slices").items()},
-        }
-        cloud = None
-        if data["cloud"] is not None:
-            if slices is None:
-                raise ValueError("a materialized instance needs family_slices")
-            cloud = _instance_cloud(data["cloud"])
-            if cloud.dim != 2:
-                raise ValueError(f"an rmis cloud is planar, got dim {cloud.dim}")
-            if cloud.den != 1:
-                raise ValueError(f"rmis coordinates must be integers, got a "
-                                 f"denominator of {cloud.den}")
-        return RmisInstance(cloud=cloud, k=parse_int(data["k"], "k"), B=params.B,
-                            params=params, tables=tables, meta=meta)
+        constants = None if faithful else {
+            name: parse_int(par[name], name) for name in ("p", "W", "d_s", "d_l")}
+        graph = graph_from_obj(_object(data["meta"], "meta")["graph"])
+        cloud = data["cloud"]
+        inst = rmis_to_line_clustering(graph, faithful, constants=constants,
+                                       materialize=None if cloud is not None else False)
+        if cloud is not None:
+            if not inst.materialized:
+                raise ValueError(
+                    f"the instance's graph builds more than {MATERIALIZE_RECORD_LIMIT} "
+                    "records, which are only kept counts-only, but the file has a cloud")
+            if not _is_written_form(cloud, inst.cloud):
+                raise ValueError("the instance's cloud differs from the one its graph "
+                                 "and params build")
+        return inst
     raise ValueError(f"unknown instance kind {kind!r}")

@@ -19,8 +19,9 @@ Instances carry exact integer coordinates (multiplicity-compressed, since
 corner stacks are astronomically heavy), the source graph and the parameters.
 Everything else about the geometry is derived from those: a Dominating Set
 instance's vertex groups from d and k', and the gadget's line and frame
-coordinates by :func:`gadget_tables`.  The audit checks an instance's records
-against those derived tables, never against tables an instance file supplies.
+coordinates by :func:`gadget_tables`.  :func:`rmis_to_line_clustering` is the
+only source of an RMIS instance: a file is read back by rebuilding it from its
+graph and constants, so its records are never audited in place.
 """
 
 from __future__ import annotations
@@ -250,7 +251,6 @@ class RmisParameters:
     W: int
     d_s: int
     d_l: int
-    B: int
     faithful: bool
 
 
@@ -339,14 +339,15 @@ class RmisInstance:
 
 
 def build_theta_tables(nu: int, p: int, ell: int) -> ThetaTables:
-    theta = []
-    for i in range(1, nu + 1):
-        t = sum((3 * (i - a)) ** 2 for a in range(1, i + 1)) \
-            + sum((3 * (nu - b)) ** 2 for b in range(i, nu + 1))
-        theta.append(t)
+    """theta(i) = sum_{a<=i} (3(i-a))^2 + sum_{b>=i} (3(nu-b))^2, in closed
+    form 9*(S(i-1) + S(nu-i)) with S(m) = 1^2 + ... + m^2."""
+    def squares(m):
+        return m * (m + 1) * (2 * m + 1) // 6
+
+    theta = tuple(9 * (squares(i - 1) + squares(nu - i)) for i in range(1, nu + 1))
     phi = tuple(p * ell * (nu - 1) * t for t in theta)
     phi_prime = tuple(p * ell * nu * t for t in theta)
-    return ThetaTables(tuple(theta), phi, phi_prime)
+    return ThetaTables(theta, phi, phi_prime)
 
 
 def rmis_budget(params: RmisParameters, tables: ThetaTables) -> int:
@@ -413,8 +414,10 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
         unknown = set(constants) - set(consts)
         if unknown:
             raise ValueError(f"unknown constant overrides: {sorted(unknown)}")
-        consts.update({key: int(val) for key, val in constants.items()})
-        warnings.append("constant overrides in effect")
+        overrides = {key: int(val) for key, val in constants.items()}
+        if any(consts[key] != val for key, val in overrides.items()):
+            warnings.append("constant overrides in effect")
+        consts.update(overrides)
     p, W, d_s, d_l = consts["p"], consts["W"], consts["d_s"], consts["d_l"]
     if d_l % 2 or d_l < 4:
         raise ValueError("d_l must be even and at least 4")
@@ -426,10 +429,8 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     tables = build_theta_tables(nu, p, ell)
     k = 2 * ell + 4
     params = RmisParameters(ell=ell, nu=nu, n=n, q=q, p=p, W=W, d_s=d_s, d_l=d_l,
-                            B=0, faithful=faithful)
+                            faithful=faithful)
     B = rmis_budget(params, tables)
-    params = RmisParameters(ell=ell, nu=nu, n=n, q=q, p=p, W=W, d_s=d_s, d_l=d_l,
-                            B=B, faithful=faithful)
 
     gad = gadget_tables(params)
     half, h_y, v_x, s_x = gad.half, gad.h_y, gad.v_x, gad.s_x
@@ -610,13 +611,14 @@ def desanitize_multiset(inst: RmisInstance):
 
 
 def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict:
-    """Recompute every count identity and the budget from first principles.
+    """Recompute every count identity of an instance.
 
-    Materialized instances are audited against their actual records, which
-    must lie on the lines :func:`gadget_tables` derives from the parameters;
-    in counts-only form the per-line weights are recomputed from the graph and
-    the placement rule, one vertex at a time, so ``guard`` caps the vertex
-    count n read from the parameters (GuardLimitError above it).  Returns a
+    The theta tables and the budget are compared with :func:`build_theta_tables`
+    and :func:`rmis_budget`.  Materialized instances are audited against their
+    actual records, which must lie on the lines :func:`gadget_tables` derives
+    from the parameters; in counts-only form the per-line weights are
+    recomputed from the graph and the placement rule, one vertex at a time, so
+    ``guard`` caps the vertex count n (GuardLimitError above it).  Returns a
     report dict of check name -> bool.
     """
     par, tab = inst.params, inst.tables
@@ -629,18 +631,12 @@ def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict
                 f"instance too large: counts-only audit over n = {n} vertices exceeds {cap}")
     report = {}
 
-    theta_ref = [sum((3 * (i - a)) ** 2 for a in range(1, i + 1))
-                 + sum((3 * (nu - b)) ** 2 for b in range(i, nu + 1))
-                 for i in range(1, nu + 1)]
-    report["theta_table"] = list(tab.theta) == theta_ref
-    report["phi_table"] = list(tab.phi) == [p * ell * (nu - 1) * t for t in theta_ref]
-    report["phi_prime_table"] = list(tab.phi_prime) == [p * ell * nu * t
-                                                        for t in theta_ref]
+    ref = build_theta_tables(nu, p, ell)
+    report["theta_table"] = tab.theta == ref.theta
+    report["phi_table"] = tab.phi == ref.phi
+    report["phi_prime_table"] = tab.phi_prime == ref.phi_prime
     report["theta_exceeds_nu_squared"] = all(t > nu * nu for t in tab.theta)
-
-    expected_B = (n ** 7 + (n - ell) * W + ell * sum(W + f for f in tab.phi)
-                  - ell * W + ell * p * (n - nu + 1 - q - ell))
-    report["budget_formula"] = inst.B == expected_B
+    report["budget_formula"] = inst.B == rmis_budget(par, tab)
     if par.faithful:
         report["budget_bound"] = inst.B <= n ** 32
 

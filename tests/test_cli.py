@@ -1,5 +1,6 @@
 import argparse
 import copy
+import dataclasses
 import functools
 import inspect
 import json
@@ -17,6 +18,7 @@ from flatcover.cli import build_parser, main
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph, path_graph
 from flatcover.errors import GuardLimitError
+from flatcover.geometry import PointRecord
 from flatcover.reductions import (
     audit_rmis_instance,
     ds_to_hyperplane_cover,
@@ -411,9 +413,9 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
     witness = {"kind": "selection", "indices": [4, 5]}
     no_params = dict(rmis_files)
     del no_params["params"]
-    no_ell = dict(rmis_files, params=dict(rmis_files["params"]))
-    del no_ell["params"]["ell"]
-    cases = [(no_params, witness, "params"), (no_ell, witness, "ell"),
+    no_p = dict(rmis_files, params=dict(rmis_files["params"]))
+    del no_p["params"]["p"]
+    cases = [(no_params, witness, "params"), (no_p, witness, "p"),
              (rmis_files, {"kind": "selection"}, "indices")]
     for inst, wit, field in cases:
         ipath, wpath = tmp_path / "inst.json", tmp_path / "witness.json"
@@ -422,19 +424,6 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
         assert run(["verify", str(ipath), str(wpath)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: missing field '{field}'\n"
-
-
-def test_verify_refuses_rmis_n_unlike_its_graph(tmp_path, capsys):
-    gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
-    assert run(["gen", "matching-graph", "--ell", "2", "--nu", "4", "-o", str(gpath)]) == 0
-    assert run(["reduce-rmis", str(gpath), "--materialize", "no", "-o", str(ipath)]) == 0
-    inst = read_json(ipath)
-    inst["params"]["n"] = "20"
-    ipath.write_text(json.dumps(inst))
-    wpath = tmp_path / "witness.json"
-    wpath.write_text(json.dumps({"kind": "selection", "indices": [4, 5]}))
-    assert run(["verify", str(ipath), str(wpath)]) == 2
-    assert "params.n, ell, nu are 20, 2, 4" in assert_usage_error(capsys)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -454,9 +443,14 @@ def test_verify_refuses_rmis_n_unlike_its_graph(tmp_path, capsys):
      "must be numbers"),
     (["gen", "planted", "-k", "0", "-o", "{out}"], "at least one planted line"),
     (["gen", "planted", "-k", "-1", "-o", "{out}"], "at least one planted line"),
+    (["cluster", "{float_cloud}", "-k", "1000000000", "-r", "1", "-o", "{out}"],
+     "number of records (1)"),
+    (["cluster", "{float_cloud}", "-k", "1000000000", "-r", "1", "--heuristic",
+      "-o", "{out}"], "number of records (1)"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "plot-witness", "plot-fit-result",
-        "plot-solution-list", "plot-nested-basis", "planted-k-zero", "planted-k-negative"])
+        "plot-solution-list", "plot-nested-basis", "planted-k-zero", "planted-k-negative",
+        "cluster-k-above-records", "heuristic-k-above-records"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
@@ -642,14 +636,10 @@ def test_reduction_cases_are_valid(tmp_path):
     ("verify-ds-cover", "witness", ("hyperplanes", 0, 0), "1/0"),
     ("verify-rmis", "inst", (), {"kind": "rmis", "params": [1], "B": "1"}),
     ("verify-rmis", "inst", (), [1]),
-    ("verify-rmis", "inst", ("params", "nu"), 2.5),
-    ("verify-rmis", "inst", ("params", "nu"), 8),
-    ("verify-rmis", "inst", ("params", "ell"), 1),
+    ("verify-rmis", "inst", ("params", "p"), 2.5),
+    ("verify-rmis", "inst", ("params", "d_l"), ["4"]),
     ("verify-rmis", "inst", ("params", "faithful"), "no"),
-    ("verify-rmis", "inst", ("B",), None),
-    ("verify-rmis", "inst", ("theta",), 5),
-    ("verify-rmis", "inst", ("meta", "family_slices"), None),
-    ("verify-rmis", "inst", ("meta", "family_slices", "F"), 5),
+    ("verify-rmis", "inst", ("meta", "graph", "colors"), None),
     ("verify-rmis", "inst", ("cloud", "points", 0, "coords", 0), "1/2"),
     ("verify-rmis", "witness", ("indices",), ["1", [2]]),
     ("verify-rmis", "witness", ("kind",), "selectoin"),
@@ -657,9 +647,8 @@ def test_reduction_cases_are_valid(tmp_path):
         "rmis-n-null", "colors-int", "rmis-n-huge", "ds-k-list", "ds-graph-null",
         "ds-k-unlike-rows", "ds-k-zero",
         "witness-list", "vertices-string", "vertices-float", "plane-null",
-        "plane-zero-denominator", "rmis-params-list", "instance-list", "nu-float",
-        "nu-unlike-classes", "ell-unlike-classes",
-        "faithful-string", "B-null", "theta-int", "slices-null", "slice-int",
+        "plane-zero-denominator", "rmis-params-list", "instance-list", "p-float",
+        "d_l-list", "faithful-string", "graph-uncolored",
         "coord-fraction", "indices-mixed", "witness-kind-misspelled"])
 def test_wrongly_typed_reduction_json_exits_2(tmp_path, capsys, case, role, path, value):
     argv, docs = reduction_cases()[case]
@@ -756,14 +745,14 @@ def test_reduce_ds_guard_caps_coordinates_before_building(tmp_path, capsys):
 
 
 def test_verify_guard_caps_counts_only_audit(tmp_path, capsys):
-    # The counts-only audit loops over the n vertices of the parameters.  A
-    # file's n must match its graph's color classes, so a 10^12-vertex claim
-    # is refused before the audit; the guard still caps library callers.
+    # The counts-only audit loops over the n vertices of the graph.  A file's
+    # graph must be colored to be rebuilt, so an uncolored 10^12-vertex claim
+    # is refused before any work; the guard still caps library callers.
     argv, docs = reduction_cases()["verify-rmis"]
-    inst = replaced(replaced(docs["inst"], ("cloud",), None), ("params", "n"), str(10**12))
+    inst = replaced(docs["inst"], ("cloud",), None)
     inst = replaced(inst, ("meta", "graph"), {"n": 10**12, "edges": []})
     assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 2
-    assert "0 color classes" in assert_usage_error(capsys)
+    assert "needs a color partition" in assert_usage_error(capsys)
     counts_only = rmis_to_line_clustering(matching_color_graph(2, 4), materialize=False)
     n = counts_only.params.n
     with pytest.raises(GuardLimitError, match=f"n = {n} vertices exceeds {n - 1}"):
@@ -780,27 +769,116 @@ def test_reduce_ds_guard_precedes_work_on_a_huge_graph(tmp_path, capsys):
 
 
 def test_audit_checks_records_against_derived_lines(tmp_path, capsys):
-    # The audit places records on the lines the parameters fix, not on
-    # tables the file supplies: records moved off them fail a named check
-    # and never reach a lookup that would raise.
+    # The audit places records on the lines the parameters fix: records moved
+    # off them fail a named check and never reach a lookup that would raise.
+    # verify rebuilds the instance instead, and refuses both moved clouds.
+    inst = rmis_to_line_clustering(matching_color_graph(2, 4))
+    records = inst.cloud.records
+    bundle_1 = set(inst.gadget.h_y[0])
+    shifted = [PointRecord((x, y + 1), r.mult) if y in bundle_1 else r
+               for r in records for x, y in [r.coords]]
+    x_start = inst.meta["family_slices"]["X"][0]
+    stray = list(records)
+    stray[x_start] = PointRecord((1, records[x_start].coords[1]), records[x_start].mult)
     argv, docs = reduction_cases()["verify-rmis"]
-    inst = docs["inst"]
-    d_s = int(inst["params"]["d_s"])
-    half = 3 * d_s // 2  # (ell + 1) * d_s / 2 with ell = 2
-    bundle_1 = {str(half - d_s + 3 * (2 - j)) for j in range(1, 5)}
-    shifted = replaced(inst, ("cloud", "points"), [
-        dict(p, coords=[p["coords"][0], str(int(p["coords"][1]) + 1)])
-        if p["coords"][1] in bundle_1 else p for p in inst["cloud"]["points"]])
-    x_start = inst["meta"]["family_slices"]["X"][0]
-    stray = replaced(inst, ("cloud", "points", x_start, "coords", 0), "1")
-    # The selection (1, 2) fails cost <= B on every copy, so each exits 1.
-    for doc, failed in ((inst, set()), (shifted, {"per_h_line_X"}),
-                        (stray, {"per_s_line_X", "per_v_line_X"})):
-        assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=doc)) == 1
-        out, err = capsys.readouterr()
-        assert err == ""
-        assert {line.removeprefix("FAIL  audit: ") for line in out.splitlines()
-                if line.startswith("FAIL  audit: ")} == failed
+    for recs, failed in ((records, set()), (shifted, {"per_h_line_X"}),
+                         (stray, {"per_s_line_X", "per_v_line_X"})):
+        moved = dataclasses.replace(
+            inst, cloud=dataclasses.replace(inst.cloud, records=tuple(recs)))
+        report = audit_rmis_instance(moved)
+        assert {name for name, ok in report.items() if not ok} == failed
+        doc = json.loads(fio.dumps_canonical(fio.rmis_instance_to_obj(moved)))
+        code = run_reduction_case(str(tmp_path), argv, dict(docs, inst=doc))
+        if failed:
+            assert code == 2
+            assert "cloud differs" in assert_usage_error(capsys)
+        else:  # the selection (1, 2) fails cost <= B
+            assert code == 1
+
+
+def verify_rmis(tmp_path, inst, indices):
+    """The exit code of verify of a selection against an rmis instance document."""
+    argv, _ = reduction_cases()["verify-rmis"]
+    witness = {"kind": "selection", "indices": list(indices)}
+    return run_reduction_case(str(tmp_path), argv, {"inst": inst, "witness": witness})
+
+
+# verify's cost lines for the nu = 8 matching-graph gadget (rmis_files).
+B_NU_8 = "37218383881977644441492806579351715840"
+COST_4_5 = f"PASS  cost <= B (37218383881977644441492806579148765294 vs {B_NU_8})"
+COST_4_4 = f"FAIL  cost <= B (37218383881977644441492808778106535956 vs {B_NU_8})"
+
+
+def test_verify_rebuilds_rmis_files(tmp_path, capsys, rmis_files):
+    # Older writers also stored k, the theta tables, the family slices and
+    # ell, nu, n, q; they are ignored, even where they disagree.
+    inst = rmis_to_line_clustering(matching_color_graph(2, 8))
+    tables = {name: [str(v) for v in getattr(inst.tables, name)]
+              for name in ("theta", "phi", "phi_prime")}
+    params = dict(rmis_files["params"], ell=2, nu=8, n=16, q=1)
+    meta = dict(rmis_files["meta"], family_slices={
+        name: list(se) for name, se in inst.meta["family_slices"].items()})
+    old = dict(rmis_files, k=8, params=params, meta=meta, **tables)
+    wrong = dict(old, k=9, B="1", params=dict(params, nu=4), theta=["0"],
+                 meta=dict(meta, family_slices=None))
+    for doc in (rmis_files, old, wrong):
+        for indices, code, cost in (((4, 5), 0, COST_4_5), ((4, 4), 1, COST_4_4)):
+            assert verify_rmis(tmp_path, doc, indices) == code
+            verdict = "PASS" if code == 0 else "FAIL"
+            assert capsys.readouterr() == (f"{cost}\n{verdict}\n", "")
+    # Swapping the x of two X records on each of two h lines keeps every
+    # per-line weight, so an audit of the file's records passed this file
+    # with the selection (4, 4), whose vertices 3 and 11 are adjacent.
+    swapped = copy.deepcopy(rmis_files)
+    points = swapped["cloud"]["points"]
+    for a, b in ((91, 139), (211, 259)):
+        pa, pb = points[a]["coords"], points[b]["coords"]
+        pa[0], pb[0] = pb[0], pa[0]
+    assert swapped != rmis_files
+    assert verify_rmis(tmp_path, swapped, (4, 4)) == 2
+    assert "cloud differs" in assert_usage_error(capsys)
+
+
+def test_verify_relaxed_override_instance(tmp_path, capsys):
+    # Relaxed files carry their constants; costs pinned from the builder's
+    # output for these overrides (relaxed constants carry no hardness
+    # guarantee, so the verdicts need not follow independence).
+    gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
+    gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8))))
+    overrides = ["p=1000", "W=10000000", "d_s=100000", "d_l=1000000"]
+    assert run(["reduce-rmis", str(gpath), *[a for kv in overrides for a in ("--override", kv)],
+                "-o", str(ipath)]) == 0
+    inst = read_json(ipath)
+    assert "constant overrides in effect" in inst["meta"]["warnings"]
+    for indices, code, line in (((4, 5), 0, "PASS  cost <= B (514840910 vs 717791456)"),
+                                ((1, 2), 1, "FAIL  cost <= B (1301581190 vs 717791456)")):
+        assert verify_rmis(tmp_path, inst, indices) == code
+        assert capsys.readouterr() == (f"{line}\n{line[:4]}\n", "")
+
+
+def test_verify_refuses_a_cloud_its_graph_keeps_counts_only(tmp_path, capsys):
+    # 712 vertices need over MATERIALIZE_RECORD_LIMIT records, which the
+    # builder keeps counts-only, so no file cloud can match a rebuild.
+    argv, docs = reduction_cases()["verify-rmis"]
+    big = fio.graph_to_obj(matching_color_graph(2, 356))
+    inst = replaced(docs["inst"], ("meta", "graph"), big)
+    assert verify_rmis(tmp_path, inst, (1, 2)) == 2
+    assert "only kept counts-only" in assert_usage_error(capsys)
+
+
+def test_rmis_counts_only_gadget_at_nu_8000_is_quick(tmp_path, capsys):
+    # Building, auditing and reading back the counts-only gadget is linear in
+    # nu; verify then refuses to cost it.
+    gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
+    gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8000))))
+    t0 = time.perf_counter()
+    assert run(["reduce-rmis", str(gpath), "--materialize", "no", "-o", str(ipath)]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    assert all(read_json(ipath)["audit"].values())
+    t0 = time.perf_counter()
+    assert verify_rmis(tmp_path, read_json(ipath), (4, 5)) == 2
+    assert time.perf_counter() - t0 < 2.0
+    assert "counts-only" in assert_usage_error(capsys)
 
 
 def json_paths(doc, prefix=()):
@@ -816,12 +894,14 @@ def json_paths(doc, prefix=()):
         yield from json_paths(child, prefix + (key,))
 
 
-# Junk for the reduction inputs.  Size fields (a graph's n, an instance's nu)
-# scale the work of a reduction or an audit.  Huge magnitudes are refused
-# before any work: reduce-ds checks its d^3*k' coordinates against the guard
-# first (exit 3), and an instance's n, ell and nu must match its graph's color
-# classes (exit 2).  The mid range the default guards still admit costs
-# seconds and hundreds of MB per case, so it stays out.
+# Junk for the reduction inputs.  A graph's n scales the work of a reduction,
+# and huge magnitudes are refused before any work: reduce-ds checks its
+# d^3*k' coordinates against the guard first (exit 3), and an rmis graph must
+# be partitioned into color classes, which a junk n cannot be (exit 2).  An
+# rmis file's n, ell and nu are not read; its p, W, d_s and d_l are inputs to
+# the rebuild, where they size coordinates and multiplicities but no loop.
+# The mid range of graph sizes the default guards still admit costs seconds
+# and hundreds of MB per case, so it stays out.
 SMALL_JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-9, 9) | st.floats()
     | st.sampled_from([10**12, -10**12, 10**100])

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from flatcover import io as fio
-from flatcover.generators import matching_color_graph, path_graph, random_cloud
+from flatcover.generators import (
+    matching_color_graph,
+    path_graph,
+    random_cloud,
+    ring_color_graph,
+)
 from flatcover.geometry import MODE_RATIONAL, WeightedPointCloud
 from flatcover.reductions import (
     audit_rmis_instance,
@@ -84,17 +89,30 @@ def test_ds_instance_roundtrip():
 def test_rmis_instance_roundtrip_preserves_audit():
     inst = rmis_to_line_clustering(matching_color_graph(2, 4))
     obj = fio.rmis_instance_to_obj(inst)
+    assert set(obj) == {"kind", "B", "params", "cloud", "meta"}
+    assert set(obj["params"]) == {"p", "W", "d_s", "d_l", "faithful"}
     back = fio.instance_from_obj(json.loads(fio.dumps_canonical(obj)))
-    assert back.B == inst.B
-    assert back.params == inst.params
-    assert back.cloud.total_weight == inst.cloud.total_weight
-    assert back.gadget == inst.gadget
+    assert back == inst and back.meta == inst.meta
     report = audit_rmis_instance(back)
     assert all(report.values()), report
-    # Tables an older writer stored are ignored, even when they disagree.
-    old = dict(obj, meta=dict(obj["meta"], h_y=[["1"]], half="0", graph_sha256="x"))
+    # Fields an older writer stored are ignored, even when they disagree.
+    old = dict(obj, k=9, theta=["1"], phi=[], phi_prime=None,
+               params=dict(obj["params"], ell=3, nu=2, n="1", q=0),
+               meta=dict(obj["meta"], h_y=[["1"]], half="0", graph_sha256="x",
+                         family_slices={"X": [0, 1]}))
     old_back = fio.instance_from_obj(json.loads(fio.dumps_canonical(old)))
-    assert old_back.gadget == inst.gadget
+    assert old_back == inst and old_back.meta == inst.meta
+
+
+def test_faithful_rmis_instance_roundtrip():
+    # A faithful file derives p, W, d_s and d_l from n: the ones it carries
+    # are not read.
+    inst = rmis_to_line_clustering(ring_color_graph(11, 1332), faithful=True)
+    obj = json.loads(fio.dumps_canonical(fio.rmis_instance_to_obj(inst)))
+    assert obj["cloud"] is None
+    obj["params"].update(p="1", W="x")
+    back = fio.instance_from_obj(obj)
+    assert back == inst and back.meta == inst.meta
 
 
 def test_manifest_fields(tmp_path):
