@@ -151,12 +151,9 @@ def cmd_reduce_rmis(args) -> int:
     for kv in args.override or []:
         key, _, val = kv.partition("=")
         overrides[key] = parse_int(val, f"--override {key}")
-    inst = rmis_to_line_clustering(
-        g, faithful=args.faithful,
-        constants=overrides or None,
-        materialize=None if args.materialize == "auto" else False)
+    inst = rmis_to_line_clustering(g, faithful=args.faithful, constants=overrides or None)
     payload = fio.rmis_instance_to_obj(inst)
-    payload["audit"] = audit_rmis_instance(inst, guard=args.guard)
+    payload["audit"] = audit_rmis_instance(inst)
     _write_output(args, payload, "reduce-rmis", [args.graph], None)
     return 0 if all(payload["audit"].values()) else 1
 
@@ -174,6 +171,9 @@ def cmd_verify(args) -> int:
             checks.append(("cover maps back to a dominating set",
                            inst.graph.is_dominating(extracted)))
         elif kind == "cover":
+            if len(witness.hyperplanes) > inst.k:
+                raise ValueError(f"witness has {len(witness.hyperplanes)} hyperplanes "
+                                 f"but k = {inst.k}")
             ok = verify_cover(inst.cloud, witness.hyperplanes)
             checks.append(("planes cover every point", ok))
             if ok:
@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", default=None, help="output file")
         if guard:
             p.add_argument("--guard", type=int, default=None,
-                           help="cap on search nodes, reduce-ds coordinates or audited "
-                                "vertices (also FLATCOVER_GUARD)")
+                           help="cap on search nodes or reduce-ds coordinates "
+                                "(also FLATCOVER_GUARD)")
 
     p = sub.add_parser("fit", help="optimal single flat")
     p.add_argument("input")
@@ -307,12 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Multicolored Independent Set -> Line Clustering")
     p.add_argument("graph")
     p.add_argument("--faithful", action="store_true")
-    p.add_argument("--materialize", choices=("auto", "no"), default="auto",
-                   help="auto writes the cloud unless it is above the record "
-                        "limit, no never writes it (counts-only)")
     p.add_argument("--override", action="append", metavar="NAME=INT",
                    help="relaxed-mode constant override (p, W, d_s, d_l)")
-    common(p)
+    common(p, guard=False)
     p.set_defaults(func=cmd_reduce_rmis)
 
     p = sub.add_parser("verify", help="check a witness against an instance")

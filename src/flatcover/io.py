@@ -33,6 +33,7 @@ from .reductions import (
     ColoredGraph,
     RmisInstance,
     VandermondeInstance,
+    ds_to_hyperplane_cover,
     rmis_to_line_clustering,
 )
 
@@ -115,13 +116,22 @@ def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
     return {"dim": cloud.dim, "scalar": cloud.mode, "points": list(_point_objs(cloud))}
 
 
-def _is_written_form(obj, cloud: WeightedPointCloud) -> bool:
-    """Whether obj equals cloud_to_obj(cloud), compared a point at a time so
-    that the written form is never held whole."""
-    return (isinstance(obj, dict) and obj.keys() == {"dim", "scalar", "points"}
-            and obj["dim"] == cloud.dim and obj["scalar"] == cloud.mode
-            and isinstance(obj["points"], list) and len(obj["points"]) == len(cloud.records)
-            and all(map(operator.eq, obj["points"], _point_objs(cloud))))
+def _is_written_form(obj, cloud: WeightedPointCloud | None) -> bool:
+    """Whether obj is the JSON value the writer writes for a rational cloud
+    (null for None), compared a point at a time so that the written form is
+    never held whole.  Python's == also takes true for 1 and 2.0 for 2; the
+    only numbers in the written form are dim and the multiplicities (the
+    coordinates are text), so those must be JSON integers as well."""
+    if cloud is None:
+        return obj is None
+    if not (isinstance(obj, dict) and obj.keys() == {"dim", "scalar", "points"}):
+        return False
+    points = obj["points"]
+    return (type(obj["dim"]) is int and obj["dim"] == cloud.dim
+            and obj["scalar"] == cloud.mode
+            and isinstance(points, list) and len(points) == len(cloud.records)
+            and all(map(operator.eq, points, _point_objs(cloud)))
+            and all(type(p["mult"]) is int for p in points))
 
 
 def _parse_mult(value) -> int:
@@ -295,34 +305,26 @@ def rmis_instance_to_obj(inst: RmisInstance) -> dict:
 
 
 def instance_from_obj(data: dict):
-    """A reduction instance.
+    """A reduction instance, rebuilt from the file's graph and parameters.
 
-    A ``ds_cover`` file is read as it stands.  An ``rmis`` instance is rebuilt
-    by :func:`rmis_to_line_clustering` from the file's graph, ``faithful`` flag
-    and, for relaxed files, its constants p, W, d_s and d_l; the file's cloud
-    must equal the rebuilt one as the writer writes it, and ``null`` reads as
-    counts-only.  Fields that older writers added and that the graph and
-    parameters fix (``k``, the theta tables, line tables, family slices, n, ell,
-    nu, q) are ignored.
+    A ``ds_cover`` instance is rebuilt by :func:`ds_to_hyperplane_cover` from
+    the file's graph and ``k`` (a vertex adjacent to all others is allowed: that
+    policy is for building an instance, not for reading one), under the
+    default coordinate guard.  An ``rmis`` instance is rebuilt by
+    :func:`rmis_to_line_clustering` from the file's graph, ``faithful`` flag
+    and, for relaxed files, its constants p, W, d_s and d_l.  Either way the
+    file's cloud must be the JSON value the writer writes for the rebuilt
+    instance, ``null`` where the gadget is counts-only.  Fields that older
+    writers added and that the graph and parameters fix (``k``, the theta
+    tables, line tables, family slices, n, ell, nu, q) are ignored.
     """
     data = _object(data, "an instance")
     kind = data.get("kind")
     if kind == "ds_cover":
-        cloud = cloud_from_obj(data["cloud"])
-        if cloud.mode != MODE_RATIONAL:
-            raise ValueError("a reduction instance needs a rational cloud")
-        graph = graph_from_obj(data["graph"])
-        k, d = parse_int(data["k"], "k"), graph.n_vertices
-        if d != cloud.dim:
-            raise ValueError(f"a graph on {d} vertices needs a "
-                             f"{d}-dimensional cloud, got dim {cloud.dim}")
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
-        if len(cloud.records) != d * d * k:
-            raise ValueError(f"k = {k} on {d} vertices needs d^2*k = {d * d * k} "
-                             f"points, got {len(cloud.records)}")
-        return VandermondeInstance(cloud=cloud, k=k, graph=graph)
-    if kind == "rmis":
+        inst = ds_to_hyperplane_cover(graph_from_obj(data["graph"]),
+                                      parse_int(data["k"], "k"), allow_trivial=True)
+        source = "graph and k"
+    elif kind == "rmis":
         par = _object(data["params"], "params")
         faithful = par["faithful"]
         if not isinstance(faithful, bool):
@@ -330,16 +332,14 @@ def instance_from_obj(data: dict):
         constants = None if faithful else {
             name: parse_int(par[name], name) for name in ("p", "W", "d_s", "d_l")}
         graph = graph_from_obj(_object(data["meta"], "meta")["graph"])
-        cloud = data["cloud"]
-        inst = rmis_to_line_clustering(graph, faithful, constants=constants,
-                                       materialize=None if cloud is not None else False)
-        if cloud is not None:
-            if not inst.materialized:
-                raise ValueError(
-                    f"the instance's graph builds more than {MATERIALIZE_RECORD_LIMIT} "
-                    "records, which are only kept counts-only, but the file has a cloud")
-            if not _is_written_form(cloud, inst.cloud):
-                raise ValueError("the instance's cloud differs from the one its graph "
-                                 "and params build")
-        return inst
-    raise ValueError(f"unknown instance kind {kind!r}")
+        inst = rmis_to_line_clustering(graph, faithful, constants=constants)
+        source = "graph and params"
+    else:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    if not _is_written_form(data["cloud"], inst.cloud):
+        counts_only = ("" if inst.cloud is not None else
+                       f" (null: more than {MATERIALIZE_RECORD_LIMIT} records are only "
+                       "kept counts-only)")
+        raise ValueError(f"the instance's cloud differs from the one its {source} "
+                         f"build{counts_only}")
+    return inst

@@ -17,11 +17,11 @@ Two constructions are materialized:
 
 Instances carry exact integer coordinates (multiplicity-compressed, since
 corner stacks are astronomically heavy), the source graph and the parameters.
-Everything else about the geometry is derived from those: a Dominating Set
-instance's vertex groups from d and k', and the gadget's line and frame
-coordinates by :func:`gadget_tables`.  :func:`rmis_to_line_clustering` is the
-only source of an RMIS instance: a file is read back by rebuilding it from its
-graph and constants, so its records are never audited in place.
+Everything else is derived from those: a Dominating Set instance's vertex
+groups from d and k', and the gadget's k, budget, theta tables and line and
+frame coordinates from its parameters.  The two builders are the only source
+of an instance: a file is read back by rebuilding it from its graph and
+parameters, so its records are never audited in place.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .geometry import (
     PointRecord,
     WeightedPointCloud,
 )
-from .util import DEFAULT_COORD_GUARD, DEFAULT_NODE_GUARD, resolve_guard
+from .util import DEFAULT_COORD_GUARD, resolve_guard
 
 # Instances whose record count exceeds this are kept in counts-only form.
 MATERIALIZE_RECORD_LIMIT = 500_000
@@ -258,7 +258,6 @@ class RmisParameters:
 class ThetaTables:
     theta: tuple
     phi: tuple
-    phi_prime: tuple
 
 
 @dataclass(frozen=True)
@@ -322,16 +321,35 @@ def gadget_tables(par: RmisParameters) -> GadgetTables:
 
 @dataclass(frozen=True)
 class RmisInstance:
+    """The gadget's records, its parameters and its source.
+
+    ``cloud`` is None when the gadget is kept counts-only.  ``meta`` holds the
+    colored ``graph``, the relaxed-mode ``warnings``, the builder's
+    ``record_estimate`` and, for a materialized cloud, the ``family_slices``
+    (record ranges of F, X, Z_h, Z_v).  Everything else is a function of
+    ``params``: k = 2*ell+4, the theta tables, the budget B and the gadget's
+    coordinates.
+    """
+
     cloud: Optional[WeightedPointCloud]
-    k: int
-    B: int
     params: RmisParameters
-    tables: ThetaTables
     meta: dict = field(compare=False)
 
     @property
     def materialized(self) -> bool:
         return self.cloud is not None
+
+    @property
+    def k(self) -> int:
+        return 2 * self.params.ell + 4
+
+    @cached_property
+    def tables(self) -> ThetaTables:
+        return build_theta_tables(self.params.nu, self.params.p, self.params.ell)
+
+    @cached_property
+    def B(self) -> int:
+        return rmis_budget(self.params, self.tables)
 
     @cached_property
     def gadget(self) -> GadgetTables:
@@ -345,9 +363,7 @@ def build_theta_tables(nu: int, p: int, ell: int) -> ThetaTables:
         return m * (m + 1) * (2 * m + 1) // 6
 
     theta = tuple(9 * (squares(i - 1) + squares(nu - i)) for i in range(1, nu + 1))
-    phi = tuple(p * ell * (nu - 1) * t for t in theta)
-    phi_prime = tuple(p * ell * nu * t for t in theta)
-    return ThetaTables(theta, phi, phi_prime)
+    return ThetaTables(theta, tuple(p * ell * (nu - 1) * t for t in theta))
 
 
 def rmis_budget(params: RmisParameters, tables: ThetaTables) -> int:
@@ -373,8 +389,7 @@ def _vertex_conflicts(g: ColoredGraph, color_of: dict, u: int, v: int) -> bool:
 
 
 def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
-                            constants: dict | None = None,
-                            materialize: bool | None = None) -> RmisInstance:
+                            constants: dict | None = None) -> RmisInstance:
     """Build the planar clustering instance from a color-regular graph.
 
     Faithful mode enforces the parameter regime the hardness argument
@@ -382,7 +397,9 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     to their defining powers of n.  Relaxed mode only requires nu even,
     permits explicit constant overrides for desk-scale experiments, and
     records every waived assumption in the instance metadata; such instances
-    carry no hardness guarantee and are labeled accordingly.
+    carry no hardness guarantee and are labeled accordingly.  The records are
+    built exactly when their estimated count is at most
+    MATERIALIZE_RECORD_LIMIT; above it the instance is counts-only.
     """
     if g.colors is None:
         raise ValueError("the source graph needs a color partition")
@@ -426,30 +443,22 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     if d_s <= 10 * n * n * nu + 3 * nu + 4:
         raise ValueError("d_s too small: line bundles would overlap the frame")
 
-    tables = build_theta_tables(nu, p, ell)
-    k = 2 * ell + 4
     params = RmisParameters(ell=ell, nu=nu, n=n, q=q, p=p, W=W, d_s=d_s, d_l=d_l,
                             faithful=faithful)
-    B = rmis_budget(params, tables)
+    k = 2 * ell + 4
+    n_records_estimate = (k * k + 2 * k) + n * n + 4 * n + 4 * n
+    meta = {"graph": g, "warnings": warnings, "record_estimate": n_records_estimate}
+    if n_records_estimate > MATERIALIZE_RECORD_LIMIT:
+        return RmisInstance(cloud=None, params=params, meta=meta)
 
     gad = gadget_tables(params)
+    phi = build_theta_tables(nu, p, ell).phi
     half, h_y, v_x, s_x = gad.half, gad.h_y, gad.v_x, gad.s_x
 
     color_of = {}
     for i, cls in enumerate(g.colors):
         for v in cls:
             color_of[v] = i
-
-    n_records_estimate = (k * k + 2 * k) + n * n + 4 * n + 4 * n
-    if materialize is None:
-        materialize = n_records_estimate <= MATERIALIZE_RECORD_LIMIT
-
-    meta = {"graph": g, "warnings": warnings, "record_estimate": n_records_estimate}
-
-    if not materialize:
-        meta["family_slices"] = None
-        return RmisInstance(cloud=None, k=k, B=B, params=params, tables=tables,
-                            meta=meta)
 
     records: list[PointRecord] = []
     outer = gad.gh_cols[-1]
@@ -487,7 +496,7 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
             y = h_y[i - 1][j - 1]
             spots = [-half - 1, -half + 1, half - 1, half + 1]
             records.extend(PointRecord((x, y), w)
-                           for x, w in _split_spots(W + tables.phi[j - 1], spots))
+                           for x, w in _split_spots(W + phi[j - 1], spots))
     zh_end = len(records)
 
     zv_start = len(records)
@@ -506,8 +515,7 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
         "Z_h": (zh_start, zh_end),
         "Z_v": (zv_start, zv_end),
     }
-    return RmisInstance(cloud=cloud, k=k, B=B, params=params, tables=tables,
-                        meta=meta)
+    return RmisInstance(cloud=cloud, params=params, meta=meta)
 
 
 def _split_spots(total: int, spots: list):
@@ -610,98 +618,60 @@ def desanitize_multiset(inst: RmisInstance):
 # audits
 
 
-def audit_rmis_instance(inst: RmisInstance, *, guard: int | None = None) -> dict:
-    """Recompute every count identity of an instance.
+def audit_rmis_instance(inst: RmisInstance) -> dict:
+    """Check the instance against what the construction promises.
 
-    The theta tables and the budget are compared with :func:`build_theta_tables`
-    and :func:`rmis_budget`.  Materialized instances are audited against their
-    actual records, which must lie on the lines :func:`gadget_tables` derives
-    from the parameters; in counts-only form the per-line weights are
-    recomputed from the graph and the placement rule, one vertex at a time, so
-    ``guard`` caps the vertex count n (GuardLimitError above it).  Returns a
-    report dict of check name -> bool.
+    Every instance: each theta(i) exceeds nu^2, the frame grids hold k^2+2k
+    positions and, in faithful mode, B <= n^32.  A materialized instance also
+    has its records recounted: the frame, Z_h and Z_v family weights, and the
+    X weight on every line :func:`gadget_tables` derives from the parameters
+    (n*p per h line, (q+nu-1)*p per s line, (n-q-nu+1)*p per v line; a record
+    on none of them fails its check).  A counts-only instance has no records
+    to recount.  Returns a report dict of check name -> bool.
     """
-    par, tab = inst.params, inst.tables
+    par = inst.params
     ell, nu, n, q, p, W, d_l = par.ell, par.nu, par.n, par.q, par.p, par.W, par.d_l
-    k = inst.k
-    if not inst.materialized:
-        cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
-        if n > cap:
-            raise GuardLimitError(
-                f"instance too large: counts-only audit over n = {n} vertices exceeds {cap}")
-    report = {}
-
-    ref = build_theta_tables(nu, p, ell)
-    report["theta_table"] = tab.theta == ref.theta
-    report["phi_table"] = tab.phi == ref.phi
-    report["phi_prime_table"] = tab.phi_prime == ref.phi_prime
-    report["theta_exceeds_nu_squared"] = all(t > nu * nu for t in tab.theta)
-    report["budget_formula"] = inst.B == rmis_budget(par, tab)
+    k, gad = inst.k, inst.gadget
+    report = {"theta_exceeds_nu_squared": all(t > nu * nu for t in inst.tables.theta)}
     if par.faithful:
         report["budget_bound"] = inst.B <= n ** 32
-
-    expected_h = n * p
-    expected_s = (q + nu - 1) * p
-    expected_v = (n - q - nu + 1) * p
-    expected_F = 8 * d_l + k * k + 2 * k
-    expected_Zv = n * W
-    expected_Zh = ell * sum(W + f for f in tab.phi)
-
-    gad = inst.gadget
     # Frame geometry: grids have k/2 x (k+2) points each, eight corner stacks.
     frame = len(gad.gh_rows) * len(gad.gh_cols) + len(gad.gv_rows) * len(gad.gv_cols)
-
-    if inst.materialized:
-        sl = inst.meta["family_slices"]
-        recs = inst.cloud.records
-
-        def fam_weight(name):
-            a, b = sl[name]
-            return sum(r.mult for r in recs[a:b])
-
-        report["F_weight"] = fam_weight("F") == expected_F
-        report["Zv_weight"] = fam_weight("Z_v") == expected_Zv
-        report["Zh_weight"] = fam_weight("Z_h") == expected_Zh
-
-        # X weight per derived line, keyed by coordinate; a record on no
-        # derived h line, or on neither an s nor a v line, fails its check.
-        per_h, per_s, per_v = ({c: 0 for row in table for c in row}
-                               for table in (gad.h_y, gad.s_x, gad.v_x))
-        off_h = off_sv = False
-        a, b = sl["X"]
-        for rec in recs[a:b]:
-            x, y = rec.coords
-            if y in per_h:
-                per_h[y] += rec.mult
-            else:
-                off_h = True
-            column = per_s if x in per_s else per_v if x in per_v else None
-            if column is None:
-                off_sv = True
-            else:
-                column[x] += rec.mult
-        report["per_h_line_X"] = not off_h and all(w == expected_h for w in per_h.values())
-        report["per_s_line_X"] = not off_sv and all(w == expected_s for w in per_s.values())
-        report["per_v_line_X"] = not off_sv and all(w == expected_v for w in per_v.values())
-    else:
-        g: ColoredGraph = inst.meta["graph"]
-        deg = g.degree_map()
-        # Per-line weights from the placement rule: conflicts (edges plus
-        # same-color pairs) land on s, everything else including self on v.
-        # Every h line receives one stack per vertex by the rule.
-        report["per_h_line_X"] = True
-        report["per_s_line_X"] = all(
-            p * (deg[v] + (nu - 1)) == expected_s for v in range(n))
-        report["per_v_line_X"] = all(
-            p * ((n - 1 - deg[v]) - (nu - 1) + 1) == expected_v for v in range(n))
-        report["F_weight"] = frame + 8 * (gad.corner_mult - 1) == expected_F
-        report["Zv_weight"] = sum(
-            sum(w for _, w in _split_spots(W, [0, 1, 2, 3]))
-            for _ in range(n)) == expected_Zv
-        report["Zh_weight"] = ell * sum(
-            sum(w for _, w in _split_spots(W + f, [0, 1, 2, 3]))
-            for f in tab.phi) == expected_Zh
-
     report["frame_positions"] = frame == k * k + 2 * k
-    report["k_value"] = k == 2 * ell + 4
+    if not inst.materialized:
+        return report
+
+    sl = inst.meta["family_slices"]
+    recs = inst.cloud.records
+
+    def fam_weight(name):
+        a, b = sl[name]
+        return sum(r.mult for r in recs[a:b])
+
+    report["F_weight"] = fam_weight("F") == 8 * d_l + k * k + 2 * k
+    report["Zv_weight"] = fam_weight("Z_v") == n * W
+    report["Zh_weight"] = fam_weight("Z_h") == ell * sum(W + f for f in inst.tables.phi)
+
+    # X weight per derived line, keyed by coordinate; a record on no
+    # derived h line, or on neither an s nor a v line, fails its check.
+    per_h, per_s, per_v = ({c: 0 for row in table for c in row}
+                           for table in (gad.h_y, gad.s_x, gad.v_x))
+    off_h = off_sv = False
+    a, b = sl["X"]
+    for rec in recs[a:b]:
+        x, y = rec.coords
+        if y in per_h:
+            per_h[y] += rec.mult
+        else:
+            off_h = True
+        column = per_s if x in per_s else per_v if x in per_v else None
+        if column is None:
+            off_sv = True
+        else:
+            column[x] += rec.mult
+    report["per_h_line_X"] = not off_h and all(w == n * p for w in per_h.values())
+    report["per_s_line_X"] = not off_sv and all(
+        w == (q + nu - 1) * p for w in per_s.values())
+    report["per_v_line_X"] = not off_sv and all(
+        w == (n - q - nu + 1) * p for w in per_v.values())
     return report

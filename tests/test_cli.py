@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from flatcover.cli import build_parser, main
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph, path_graph
-from flatcover.errors import GuardLimitError
 from flatcover.geometry import PointRecord
 from flatcover.reductions import (
     audit_rmis_instance,
@@ -433,6 +432,7 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
     (["verify", "{ds_inst}", "{selection}"], "got selection"),
     (["verify", "{rmis_inst}", "{cover}"], "got cover"),
     (["verify", "{rmis_inst}", "{dominating_set}"], "got dominating_set"),
+    (["verify", "{ds_inst}", "{four_planes}"], "witness has 4 hyperplanes but k = 2"),
     (["plot", "{float_cloud}", "--solution", "{selection}", "-o", "{out}"],
      "missing field 'flats'"),
     (["plot", "{float_cloud}", "--solution", "{fit_result}", "-o", "{out}"],
@@ -448,9 +448,9 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
     (["cluster", "{float_cloud}", "-k", "1000000000", "-r", "1", "--heuristic",
       "-o", "{out}"], "number of records (1)"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
-        "rmis-cover", "rmis-dominating-set", "plot-witness", "plot-fit-result",
-        "plot-solution-list", "plot-nested-basis", "planted-k-zero", "planted-k-negative",
-        "cluster-k-above-records", "heuristic-k-above-records"])
+        "rmis-cover", "rmis-dominating-set", "ds-cover-above-k", "plot-witness",
+        "plot-fit-result", "plot-solution-list", "plot-nested-basis", "planted-k-zero",
+        "planted-k-negative", "cluster-k-above-records", "heuristic-k-above-records"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
@@ -459,6 +459,10 @@ def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
             "selection": {"kind": "selection", "indices": [1, 2]},
             "cover": {"kind": "cover", "hyperplanes": [["0", "1", "0"]]},
             "dominating_set": {"kind": "dominating_set", "vertices": [0]},
+            # The planes x[i] = 1 for every vertex of the 4-vertex path cover
+            # its instance, but k = 2.
+            "four_planes": {"kind": "cover", "hyperplanes": [
+                ["-1", *("1" if j == i else "0" for j in range(4))] for i in range(4)]},
             "fit_result": {"kind": "fit", "r": 1,
                            "flat": {"basis": [[1.0, 0.0]], "offset": [0.0, 0.0]}},
             "solution_list": [1],
@@ -658,7 +662,7 @@ def test_wrongly_typed_reduction_json_exits_2(tmp_path, capsys, case, role, path
 
 
 @pytest.mark.parametrize("n,vertex,message", [
-    (4, 7, "0..3"), (4, -2, "0..3"), (5, 4, "5-dimensional")],
+    (4, 7, "0..3"), (4, -2, "0..3"), (5, 4, "cloud differs")],
     ids=["beyond-graph", "negative", "graph-beyond-cloud"])
 def test_verify_witness_vertex_out_of_range_exits_2(tmp_path, capsys, n, vertex, message):
     # k = 3 lets {0, 2} dominate with one vertex to spare: a vertex beyond the
@@ -744,20 +748,14 @@ def test_reduce_ds_guard_caps_coordinates_before_building(tmp_path, capsys):
     assert run_reduction_case(str(tmp_path), argv + ["--guard", "128"], docs) == 0
 
 
-def test_verify_guard_caps_counts_only_audit(tmp_path, capsys):
-    # The counts-only audit loops over the n vertices of the graph.  A file's
-    # graph must be colored to be rebuilt, so an uncolored 10^12-vertex claim
-    # is refused before any work; the guard still caps library callers.
+def test_verify_refuses_an_uncolored_rmis_graph(tmp_path, capsys):
+    # A file's graph must be colored to be rebuilt, so an uncolored
+    # 10^12-vertex claim is refused before any work.
     argv, docs = reduction_cases()["verify-rmis"]
     inst = replaced(docs["inst"], ("cloud",), None)
     inst = replaced(inst, ("meta", "graph"), {"n": 10**12, "edges": []})
     assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 2
     assert "needs a color partition" in assert_usage_error(capsys)
-    counts_only = rmis_to_line_clustering(matching_color_graph(2, 4), materialize=False)
-    n = counts_only.params.n
-    with pytest.raises(GuardLimitError, match=f"n = {n} vertices exceeds {n - 1}"):
-        audit_rmis_instance(counts_only, guard=n - 1)
-    assert all(audit_rmis_instance(counts_only, guard=n).values())
 
 
 def test_reduce_ds_guard_precedes_work_on_a_huge_graph(tmp_path, capsys):
@@ -814,7 +812,10 @@ def test_verify_rebuilds_rmis_files(tmp_path, capsys, rmis_files):
     # ell, nu, n, q; they are ignored, even where they disagree.
     inst = rmis_to_line_clustering(matching_color_graph(2, 8))
     tables = {name: [str(v) for v in getattr(inst.tables, name)]
-              for name in ("theta", "phi", "phi_prime")}
+              for name in ("theta", "phi")}
+    tables["phi_prime"] = [
+        "22166154415964160", "14566330044776448", "9499780463984640", "6966505673588736",
+        "6966505673588736", "9499780463984640", "14566330044776448", "22166154415964160"]
     params = dict(rmis_files["params"], ell=2, nu=8, n=16, q=1)
     meta = dict(rmis_files["meta"], family_slices={
         name: list(se) for name, se in inst.meta["family_slices"].items()})
@@ -837,6 +838,64 @@ def test_verify_rebuilds_rmis_files(tmp_path, capsys, rmis_files):
     assert swapped != rmis_files
     assert verify_rmis(tmp_path, swapped, (4, 4)) == 2
     assert "cloud differs" in assert_usage_error(capsys)
+
+
+README_DS_PASS = ("PASS  witness dominates and covers\n"
+                  "PASS  cover maps back to a dominating set\nPASS\n")
+
+
+def test_verify_rebuilds_ds_files(tmp_path, capsys):
+    # README's path5 example: the file verifies as written, and a file whose
+    # cloud is not the one its graph and k build is refused, even where the
+    # witness would still cover it.
+    reduce_argv, _ = reduction_cases()["reduce-ds"]
+    path5 = {"graph": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]}}
+    assert run_reduction_case(str(tmp_path), reduce_argv, path5) == 0
+    inst = read_json(tmp_path / "out.json")
+    argv, _ = reduction_cases()["verify-ds"]
+    witness = {"kind": "dominating_set", "vertices": [1, 3]}
+    assert run_reduction_case(str(tmp_path), argv, {"inst": inst, "witness": witness}) == 0
+    assert capsys.readouterr() == (README_DS_PASS, "")
+    assert inst["cloud"]["points"][0]["coords"][-1] == "32"
+    tampered = replaced(inst, ("cloud", "points", 0, "coords", 4), "1")
+    assert run_reduction_case(str(tmp_path), argv, {"inst": tampered, "witness": witness}) == 2
+    assert "cloud differs from the one its graph and k build" in assert_usage_error(capsys)
+    # The planes x[i] = 1 for all five vertices cover the points, but k = 2.
+    five = {"kind": "cover", "hyperplanes": [["-1", *("1" if j == i else "0" for j in range(5))]
+                                             for i in range(5)]}
+    assert run_reduction_case(str(tmp_path), argv, {"inst": inst, "witness": five}) == 2
+    assert assert_usage_error(capsys) == "error: witness has 5 hyperplanes but k = 2\n"
+
+
+@pytest.mark.parametrize("case", ["verify-ds", "verify-rmis"])
+@pytest.mark.parametrize("field,value", [("mult", True), ("mult", float), ("dim", float)],
+                         ids=["mult-true", "mult-float", "dim-float"])
+def test_verify_compares_cloud_numbers_by_json_type(tmp_path, capsys, case, field, value):
+    # true == 1 and 1.0 == 1 in Python, but neither is what the writer writes.
+    argv, docs = reduction_cases()[case]
+    cloud = docs["inst"]["cloud"]
+    if field == "dim":
+        path, old = ("cloud", "dim"), cloud["dim"]
+    else:
+        i = next(i for i, pt in enumerate(cloud["points"]) if pt["mult"] == 1)
+        path, old = ("cloud", "points", i, "mult"), 1
+    new = True if value is True else value(old)
+    assert new == old and type(new) is not type(old)
+    inst = replaced(docs["inst"], path, new)
+    assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 2
+    assert "cloud differs" in assert_usage_error(capsys)
+
+
+def test_rmis_graph_must_be_regular(tmp_path, capsys):
+    # The gadget's per-line weights assume every vertex has degree q.
+    irregular = {"n": 4, "edges": [[0, 2]], "colors": [[0, 1], [2, 3]]}
+    argv, _ = reduction_cases()["reduce-rmis"]
+    assert run_reduction_case(str(tmp_path), argv, {"graph": irregular}) == 2
+    assert assert_usage_error(capsys) == "error: graph is not regular\n"
+    argv, docs = reduction_cases()["verify-rmis"]
+    inst = replaced(docs["inst"], ("meta", "graph"), irregular)
+    assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 2
+    assert assert_usage_error(capsys) == "error: graph is not regular\n"
 
 
 def test_verify_relaxed_override_instance(tmp_path, capsys):
@@ -872,7 +931,7 @@ def test_rmis_counts_only_gadget_at_nu_8000_is_quick(tmp_path, capsys):
     gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
     gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8000))))
     t0 = time.perf_counter()
-    assert run(["reduce-rmis", str(gpath), "--materialize", "no", "-o", str(ipath)]) == 0
+    assert run(["reduce-rmis", str(gpath), "-o", str(ipath)]) == 0
     assert time.perf_counter() - t0 < 2.0
     assert all(read_json(ipath)["audit"].values())
     t0 = time.perf_counter()

@@ -175,10 +175,9 @@ def test_ds_equivalence_on_sample_graphs():
 # RMIS -> Line Clustering
 
 
-def toy_instance(ell=2, nu=4, materialize=True):
+def toy_instance(ell=2, nu=4):
     g = matching_color_graph(ell, nu)
-    return rmis_to_line_clustering(g, faithful=False, constants=TOY_CONSTANTS,
-                                   materialize=materialize)
+    return rmis_to_line_clustering(g, faithful=False, constants=TOY_CONSTANTS)
 
 
 def test_theta_tables_match_definition():
@@ -186,7 +185,6 @@ def test_theta_tables_match_definition():
     # theta(i) = sum_{a<=i} (3(i-a))^2 + sum_{b>=i} (3(nu-b))^2
     assert tab.theta == (126, 54, 54, 126)
     assert tab.phi == tuple(2 * 2 * 3 * t for t in tab.theta)
-    assert tab.phi_prime == tuple(2 * 2 * 4 * t for t in tab.theta)
     assert all(t > 16 for t in tab.theta)
 
 
