@@ -6,7 +6,7 @@ Library surface:
 * ``fitting``    - optimal single-flat fitting (weighted PCA) and exact spans
 * ``clustering`` - exact partition-enumeration solver and k-subspaces heuristic
 * ``cover``      - exact line / hyperplane cover search with the d=2 kernel
-* ``reductions`` - executable hardness-reduction generators with exact audits
+* ``reductions`` - executable hardness-reduction generators on exact integers
 * ``cli``        - the ``flatcover`` command-line tool
 """
 

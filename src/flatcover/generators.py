@@ -48,6 +48,8 @@ def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
 
 def random_cloud(n_points: int, dim: int, seed: int, *, scale: float = 5.0,
                  max_mult: int = 1) -> WeightedPointCloud:
+    if max_mult < 1:
+        raise ValueError(f"max_mult must be at least 1, got {max_mult}")
     rng = make_rng(seed)
     pts = rng.uniform(-scale, scale, size=(n_points, dim))
     mults = rng.integers(1, max_mult + 1, size=n_points) if max_mult > 1 else None

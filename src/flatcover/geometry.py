@@ -111,6 +111,8 @@ class WeightedPointCloud:
     def __post_init__(self):
         if self.mode not in (MODE_RATIONAL, MODE_FLOAT):
             raise ValueError(f"unknown scalar mode {self.mode!r}")
+        if self.dim < 1:
+            raise ValueError(f"cloud dimension must be at least 1, got {self.dim}")
         recs = tuple(self.records)
         for rec in recs:
             if len(rec.coords) != self.dim:

@@ -289,7 +289,7 @@ def test_criterion_8_rmis_integrity():
     assert inst.B == expected_B
 
     # Faithful instance (smallest parameters with nu > ell^3, ell > 10,
-    # 4 | nu): audited structurally, never solved.
+    # 4 | nu): checked structurally, never solved.
     gf = ring_color_graph(11, 1332)
     finst = rmis_to_line_clustering(gf, faithful=True)
     assert not finst.materialized

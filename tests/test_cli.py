@@ -18,11 +18,7 @@ from flatcover.cli import build_parser, main
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph, path_graph
 from flatcover.geometry import PointRecord
-from flatcover.reductions import (
-    audit_rmis_instance,
-    ds_to_hyperplane_cover,
-    rmis_to_line_clustering,
-)
+from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
 
 
 def run(argv):
@@ -197,9 +193,15 @@ def test_reduce_ds_and_verify(tmp_path, capsys):
     wpath.write_text(json.dumps({"kind": "dominating_set", "vertices": [0, 2]}))
     assert run(["verify", str(ipath), str(wpath)]) == 0
     assert "PASS" in capsys.readouterr().out
+    # A set that does not dominate is a verdict; a vertex outside the graph
+    # is malformed, even where the set would not dominate either.
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"kind": "dominating_set", "vertices": [0]}))
+    assert run(["verify", str(ipath), str(bad)]) == 1
+    assert capsys.readouterr() == ("FAIL  witness dominates and covers\nFAIL\n", "")
+    bad.write_text(json.dumps({"kind": "dominating_set", "vertices": [7]}))
     assert run(["verify", str(ipath), str(bad)]) == 2
+    assert "0..3" in assert_usage_error(capsys)
 
 
 def test_verify_cover_witness_on_ds_instance(tmp_path, capsys):
@@ -447,10 +449,21 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
      "number of records (1)"),
     (["cluster", "{float_cloud}", "-k", "1000000000", "-r", "1", "--heuristic",
       "-o", "{out}"], "number of records (1)"),
+    (["gen", "random", "--dim", "0", "-n", "3", "-o", "{out}"],
+     "dimension must be at least 1, got 0"),
+    (["gen", "random-exact", "--dim", "0", "-n", "1", "-o", "{out}"],
+     "dimension must be at least 1, got 0"),
+    (["gen", "random", "--max-mult", "0", "-o", "{out}"], "max_mult must be at least 1"),
+    (["fit", "{negative_dim}", "-r", "0", "-o", "{out}"],
+     "dimension must be at least 1, got -1"),
+    (["cover", "{zero_dim}", "-k", "1", "-o", "{out}"],
+     "dimension must be at least 1, got 0"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "ds-cover-above-k", "plot-witness",
         "plot-fit-result", "plot-solution-list", "plot-nested-basis", "planted-k-zero",
-        "planted-k-negative", "cluster-k-above-records", "heuristic-k-above-records"])
+        "planted-k-negative", "cluster-k-above-records", "heuristic-k-above-records",
+        "random-dim-zero", "random-exact-dim-zero", "random-max-mult-zero",
+        "cloud-dim-negative", "cover-dim-zero"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
@@ -466,6 +479,8 @@ def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
             "fit_result": {"kind": "fit", "r": 1,
                            "flat": {"basis": [[1.0, 0.0]], "offset": [0.0, 0.0]}},
             "solution_list": [1],
+            "negative_dim": {"dim": -1, "scalar": "float", "points": []},
+            "zero_dim": {"dim": 0, "scalar": "rational", "points": [{"coords": []}]},
             "nested_basis": {"flats": [{"basis": [[[1]]], "offset": [0.0, 0.0]}]}}
     paths = {"out": str(tmp_path / "out")}
     for role, doc in docs.items():
@@ -766,10 +781,9 @@ def test_reduce_ds_guard_precedes_work_on_a_huge_graph(tmp_path, capsys):
     assert_guard_exit(capsys)
 
 
-def test_audit_checks_records_against_derived_lines(tmp_path, capsys):
-    # The audit places records on the lines the parameters fix: records moved
-    # off them fail a named check and never reach a lookup that would raise.
-    # verify rebuilds the instance instead, and refuses both moved clouds.
+def test_verify_refuses_records_moved_off_derived_lines(tmp_path, capsys):
+    # verify rebuilds the instance, so records moved off the lines the
+    # parameters fix are refused, while the builder's records reach a verdict.
     inst = rmis_to_line_clustering(matching_color_graph(2, 4))
     records = inst.cloud.records
     bundle_1 = set(inst.gadget.h_y[0])
@@ -779,15 +793,12 @@ def test_audit_checks_records_against_derived_lines(tmp_path, capsys):
     stray = list(records)
     stray[x_start] = PointRecord((1, records[x_start].coords[1]), records[x_start].mult)
     argv, docs = reduction_cases()["verify-rmis"]
-    for recs, failed in ((records, set()), (shifted, {"per_h_line_X"}),
-                         (stray, {"per_s_line_X", "per_v_line_X"})):
+    for recs, moved_off in ((records, False), (shifted, True), (stray, True)):
         moved = dataclasses.replace(
             inst, cloud=dataclasses.replace(inst.cloud, records=tuple(recs)))
-        report = audit_rmis_instance(moved)
-        assert {name for name, ok in report.items() if not ok} == failed
         doc = json.loads(fio.dumps_canonical(fio.rmis_instance_to_obj(moved)))
         code = run_reduction_case(str(tmp_path), argv, dict(docs, inst=doc))
-        if failed:
+        if moved_off:
             assert code == 2
             assert "cloud differs" in assert_usage_error(capsys)
         else:  # the selection (1, 2) fails cost <= B
@@ -828,8 +839,8 @@ def test_verify_rebuilds_rmis_files(tmp_path, capsys, rmis_files):
             verdict = "PASS" if code == 0 else "FAIL"
             assert capsys.readouterr() == (f"{cost}\n{verdict}\n", "")
     # Swapping the x of two X records on each of two h lines keeps every
-    # per-line weight, so an audit of the file's records passed this file
-    # with the selection (4, 4), whose vertices 3 and 11 are adjacent.
+    # per-line weight, so a recount of the file's records would pass this
+    # file with the selection (4, 4), whose vertices 3 and 11 are adjacent.
     swapped = copy.deepcopy(rmis_files)
     points = swapped["cloud"]["points"]
     for a, b in ((91, 139), (211, 259)):
@@ -926,14 +937,13 @@ def test_verify_refuses_a_cloud_its_graph_keeps_counts_only(tmp_path, capsys):
 
 
 def test_rmis_counts_only_gadget_at_nu_8000_is_quick(tmp_path, capsys):
-    # Building, auditing and reading back the counts-only gadget is linear in
-    # nu; verify then refuses to cost it.
+    # Building and reading back the counts-only gadget is linear in nu;
+    # verify then refuses to cost it.
     gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
     gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8000))))
     t0 = time.perf_counter()
     assert run(["reduce-rmis", str(gpath), "-o", str(ipath)]) == 0
     assert time.perf_counter() - t0 < 2.0
-    assert all(read_json(ipath)["audit"].values())
     t0 = time.perf_counter()
     assert verify_rmis(tmp_path, read_json(ipath), (4, 5)) == 2
     assert time.perf_counter() - t0 < 2.0

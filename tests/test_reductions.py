@@ -20,7 +20,7 @@ from flatcover.geometry import MODE_RATIONAL, Hyperplane, WeightedPointCloud
 from flatcover.reductions import (
     AxisLine,
     ColoredGraph,
-    audit_rmis_instance,
+    RmisParameters,
     build_theta_tables,
     cover_to_dominating_set,
     desanitize_multiset,
@@ -28,7 +28,9 @@ from flatcover.reductions import (
     ds_to_hyperplane_cover,
     exact_cloud_cost,
     exact_solution_cost,
+    gadget_tables,
     independent_set_to_lines,
+    rmis_budget,
     rmis_to_line_clustering,
     vandermonde_value,
 )
@@ -117,11 +119,15 @@ def test_forward_witness_star_center():
     assert verify_cover(inst.cloud, planes)
 
 
-def test_forward_witness_rejects_non_dominating():
+def test_forward_witness_refuses_malformed_sets():
+    # A set with a vertex outside the graph or more than k vertices is
+    # refused; a set that does not dominate maps to planes that miss a point.
     g = path_graph(4)
     inst = ds_to_hyperplane_cover(g, 2)
-    with pytest.raises(ValueError):
-        dominating_set_to_cover_witness(inst, {0})
+    for malformed in ({0, 4}, {-1}, {0, 1, 3}):
+        with pytest.raises(ValueError):
+            dominating_set_to_cover_witness(inst, malformed)
+    assert not verify_cover(inst.cloud, dominating_set_to_cover_witness(inst, {0}))
 
 
 def test_reverse_extraction_path3():
@@ -188,11 +194,29 @@ def test_theta_tables_match_definition():
     assert all(t > 16 for t in tab.theta)
 
 
+def test_gadget_facts_hold_by_construction():
+    # What the construction promises of every parameter set, from the
+    # parameters alone: theta(i) > nu^2 (the least ratio is 2.25, at nu = 2),
+    # k^2 + 2k frame-grid positions for k = 2*ell + 4, and B <= n^32 in
+    # faithful mode, where p = n^10, W = n^30, d_s = n^40 and d_l = n^90.
+    for nu in range(2, 401, 2):
+        assert min(build_theta_tables(nu, 1, 1).theta) > nu * nu
+    for ell in range(1, 51):
+        par = RmisParameters(ell=ell, nu=2, n=2 * ell, q=1, p=1, W=1, d_s=10**6, d_l=4,
+                             faithful=False)
+        gad, k = gadget_tables(par), 2 * ell + 4
+        assert (len(gad.gh_rows) * len(gad.gh_cols)
+                + len(gad.gv_rows) * len(gad.gv_cols)) == k * k + 2 * k
+    for ell, nu, q in ((11, 1332, 2), (12, 1732, 1), (13, 2200, 3)):
+        n = ell * nu
+        par = RmisParameters(ell=ell, nu=nu, n=n, q=q, p=n**10, W=n**30, d_s=n**40,
+                             d_l=n**90, faithful=True)
+        assert rmis_budget(par, build_theta_tables(nu, par.p, ell)) <= n ** 32
+
+
 def test_relaxed_instance_counts_default_constants():
     g = matching_color_graph(2, 4)
     inst = rmis_to_line_clustering(g, faithful=False)
-    report = audit_rmis_instance(inst)
-    assert all(report.values()), report
     n, k = inst.params.n, inst.k
     assert k == 2 * 2 + 4
     assert inst.params.p == n ** 10 and inst.params.W == n ** 30
@@ -206,8 +230,6 @@ def test_relaxed_instance_counts_default_constants():
 
 def test_toy_instance_audit_and_structure():
     inst = toy_instance()
-    report = audit_rmis_instance(inst)
-    assert all(report.values()), report
     # Distinct positions: no accidental collisions between families.
     positions = [r.coords for r in inst.cloud.records]
     assert len(positions) == len(set(positions))
@@ -226,8 +248,6 @@ def test_faithful_instance_counts_only_audit():
     g = ring_color_graph(11, 1332)
     inst = rmis_to_line_clustering(g, faithful=True)
     assert not inst.materialized
-    report = audit_rmis_instance(inst)
-    assert all(report.values()), report
     n = inst.params.n
     assert inst.B <= n ** 32
     assert inst.k == 2 * 11 + 4
