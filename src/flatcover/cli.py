@@ -24,7 +24,7 @@ from .clustering import (
     solve_exact,
     solve_heuristic,
 )
-from .cover import solve_cover, solve_cover_kernelized, verify_cover
+from .cover import solve_cover, verify_cover
 from .errors import FlatcoverError, GuardLimitError
 from .fitting import best_fit_flat
 from .generators import (
@@ -118,10 +118,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_cover(args) -> int:
     cloud = _load_cloud(args.input)
-    if args.kernel:
-        sol = solve_cover_kernelized(cloud, args.k, guard=args.guard)
-    else:
-        sol = solve_cover(cloud, args.k, guard=args.guard)
+    sol = solve_cover(cloud, args.k, guard=args.guard, kernel=args.kernel)
     if sol is None:
         payload = {"kind": "cover", "k": args.k, "answer": "NO"}
         _write_output(args, payload, "cover", [args.input], None)

@@ -188,25 +188,25 @@ def _block_cost(d: int, r: int):
 SEED_MARGIN = 1e-9
 
 
-def _search(X, W, k, r, guard, leaf, seed=None, nodes=0) -> int:
+def _search(X, W, k, r, guard, leaf, seed=None) -> int:
     """Depth-first search over canonical partitions into at most k blocks.
 
     Record i joins an existing block or opens the next one (restricted growth
     strings).  Each block keeps its weight, coordinate sums and raw second
     moments as plain floats; a record joining a block builds the block's new
     state from per-record terms computed once, and backtracking restores the
-    old state, so every node's totals depend on its path alone.  Every
-    complete partition goes to ``leaf(labels, total)``, which returns the
-    bound: a branch is cut once its accumulated cost reaches it.  The loop
-    keeps its own stack, so the depth is not limited by Python's recursion
-    limit.
+    old state, so every node's totals depend on its path alone.  A block of
+    at most r+1 records costs exactly 0.0.  Every complete partition goes to
+    ``leaf(labels, total)``, which returns the bound: a branch is cut once
+    its accumulated cost reaches it.  The loop keeps its own stack, so the
+    depth is not limited by Python's recursion limit.
 
     ``seed``, a labelling of the records, is first replayed as a restricted
     growth string through the same block updates; the bound then starts just
     above the highest partial total on that path, which the search retraces
-    bit for bit, so the answer is still the search's own.  Returns the node
-    count, starting from ``nodes``; a count above ``guard`` raises
-    GuardLimitError.
+    bit for bit, so it reaches the seed's leaf or a cheaper one, and the
+    answer is still the search's own.  Returns the node count; a count above
+    ``guard`` raises GuardLimitError.
     """
     n, d = X.shape
     cost = _block_cost(d, r)
@@ -217,17 +217,19 @@ def _search(X, W, k, r, guard, leaf, seed=None, nodes=0) -> int:
     xs = X.tolist()
     rs = [[wt * x[a] for a in range(d)] for x, wt in zip(xs, ws)]
     rm = [[(x[a] * x[b]) * wt for a, b in zip(rows, cols)] for x, wt in zip(xs, ws)]
-    # A block's state: weight, coordinate sums, raw second moments, cost.
-    empty = (0.0, [0.0] * d, [0.0] * len(rows), 0.0)
+    # A block's state: weight, coordinate sums, raw second moments, cost, size.
+    empty = (0.0, [0.0] * d, [0.0] * len(rows), 0.0, 0)
 
     def grow(state, i):
-        w, s, m, _ = state
+        w, s, m, _, size = state
         w += ws[i]
         s = [p + q for p, q in zip(s, rs[i])]
         m = [p + q for p, q in zip(m, rm[i])]
-        return w, s, m, cost(w, s, m)
+        # The grown block has size+1 records; r+1 of them lie on an r-flat.
+        return w, s, m, cost(w, s, m) if size > r else 0.0, size + 1
 
     bound = math.inf
+    nodes = 0
     if seed is not None:
         blocks = [empty] * k
         first = {}
@@ -354,11 +356,11 @@ def solve_exact(cloud: WeightedPointCloud, k: int, r: int,
     Raises GuardLimitError when the search visits more nodes than the guard
     rather than silently degrading to a heuristic.  With ``prune`` the search
     skips branches whose accumulated block-fit cost already meets the
-    incumbent, and starts from the bound of a lockstep heuristic's labels;
-    should no leaf beat that bound, it searches again from an infinite one,
-    with the guard counting the nodes of both passes.  The heuristic's labels
-    are never returned unless the search reaches them as its own optimum, so
-    pruned, seeded and unpruned runs return the same solution.
+    incumbent, and starts from the bound of a lockstep heuristic's labels.
+    The heuristic's labels are never returned unless the search reaches them
+    as its own optimum, so pruned, seeded and unpruned runs return the same
+    solution.  Both run on records centred at their weighted mean, as raw
+    moments cancel far from the origin; the flats are fitted as given.
     """
     _check_solver_args(cloud, k, r)
     X = cloud.coords_array()
@@ -376,10 +378,9 @@ def solve_exact(cloud: WeightedPointCloud, k: int, r: int,
 
     # Overflowing moments end in the ValueError below, not in warnings.
     with np.errstate(all="ignore"):
-        seed = _lockstep_labels(X, W, k, r) if prune else None
-        nodes = _search(X, W, k, r, guard, leaf, seed)
-        if best_labels is None and seed is not None:
-            _search(X, W, k, r, guard, leaf, nodes=nodes)
+        Y = X - (W @ X) / W.sum()
+        seed = _lockstep_labels(Y, W, k, r) if prune else None
+        _search(Y, W, k, r, guard, leaf, seed)
     if best_labels is None:
         raise ValueError("no partition has a finite cost: coordinates are not finite "
                          "or overflow float64")
@@ -421,7 +422,7 @@ def count_consistent_partitions(cloud: WeightedPointCloud, k: int, r: int,
         count += bool(np.array_equal(nearest, labels))
         return math.inf
 
-    _search(X, W, k, r, resolve_guard(DEFAULT_NODE_GUARD, guard), leaf)
+    _search(X - (W @ X) / W.sum(), W, k, r, resolve_guard(DEFAULT_NODE_GUARD, guard), leaf)
     return count
 
 

@@ -18,20 +18,21 @@ enough positions: k hyperplanes that each hold fewer than n/k of the n
 distinct positions cannot cover them.  The cut runs for d <= 3 when
 n > k*d (with n <= k*d every slot can take d positions, so a cover exists).
 It hashes hyperplanes by gcd-normalised integer keys, one anchor position at
-a time, and stops at the first hyperplane that holds ceil(n/k) positions,
-since the cut cannot fire after that.  For d >= 4 the d-subsets per anchor
-are too many to hash, so the search runs without it.  The hashing is not
-counted against the node guard; instead the cut runs only when it hashes at
-most CUT_KEY_LIMIT combinations, and larger clouds go straight to the
-guarded search.  The same keys group point pairs into lines in the d=2
-forced-line kernel.
+a time, and stops after the first anchor whose hyperplanes include one that
+holds ceil(n/k) positions, since the cut cannot fire after that.  For d >= 4
+the d-subsets per anchor are too many to hash, so the search runs without
+it.  The hashing is not counted against the node guard; instead the cut
+runs only when it hashes at most CUT_KEY_LIMIT combinations, and larger
+clouds go straight to the guarded search.
+
+The d=2 forced-line kernel, a step of ``solve_cover``, finds its heavy
+lines with the same hashing.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -54,14 +55,10 @@ from .util import DEFAULT_NODE_GUARD, resolve_guard
 CUT_KEY_LIMIT = 10**6
 
 
-def _require_rational(cloud: WeightedPointCloud, what: str) -> None:
-    if cloud.mode != MODE_RATIONAL:
-        raise ScalarModeError(f"{what} requires a rational-mode cloud")
-
-
 def verify_cover(cloud: WeightedPointCloud, hyperplanes: Sequence[Hyperplane]) -> bool:
     """Exact membership test: every position lies on at least one hyperplane."""
-    _require_rational(cloud, "verify_cover")
+    if cloud.mode != MODE_RATIONAL:
+        raise ScalarModeError("verify_cover requires a rational-mode cloud")
     for h in hyperplanes:
         if h.dim != cloud.dim:
             raise DimensionMismatchError("hyperplane dimension differs from cloud")
@@ -72,29 +69,34 @@ def verify_cover(cloud: WeightedPointCloud, hyperplanes: Sequence[Hyperplane]) -
     return True
 
 
-def solve_cover(cloud: WeightedPointCloud, k: int, *,
-                guard: int | None = None) -> Optional[CoverSolution]:
+def solve_cover(cloud: WeightedPointCloud, k: int, *, guard: int | None = None,
+                kernel: bool = False) -> Optional[CoverSolution]:
     """Cover all positions with at most k hyperplanes, or None if impossible.
 
-    A None answer carries the full guarantee that no k hyperplanes cover:
-    either the counting cut shows that no hyperplane holds n/k of the n
-    distinct positions (checked for d <= 3 and n > k*d, stopping at the first
-    hyperplane that holds enough), or the search explores its space
-    exhaustively.  ``guard`` caps the nodes the search may visit; exceeding
-    it raises GuardLimitError.  The cut's hashing does not count as nodes;
-    it runs only when it hashes at most CUT_KEY_LIMIT combinations.
+    With ``kernel`` (d = 2 only) the forced-line kernel runs first, and the
+    cut and the search work on the positions and budget it leaves.  A None
+    answer carries the full guarantee that no k hyperplanes cover.  ``guard``
+    caps the nodes the search may visit; exceeding it raises
+    GuardLimitError.  The kernel's and the cut's hashing do not count as
+    nodes; the cut runs only when it hashes at most CUT_KEY_LIMIT
+    combinations.  Every returned cover is checked against the whole cloud.
     """
-    _require_rational(cloud, "solve_cover")
+    if cloud.mode != MODE_RATIONAL:
+        raise ScalarModeError("solve_cover requires a rational-mode cloud")
     if k < 0:
         raise ValueError("k must be >= 0")
-    positions = cloud.distinct_positions()
-    if not positions:
-        return CoverSolution(())
-    if k == 0:
-        return None
-    planes = _solve_partition(positions, cloud.den, k, guard)
+    pts, forced = cloud.distinct_positions(), []
+    if kernel:
+        if cloud.dim != 2:
+            raise DimensionMismatchError("the forced-line kernel requires d = 2")
+        kernelized = forced_line_kernel(pts, cloud.den, k)
+        if kernelized is None:
+            return None
+        pts, forced, k = kernelized
+    planes = _solve_partition(pts, cloud.den, k, guard) if pts else []
     if planes is None:
         return None
+    planes = forced + planes
     if not verify_cover(cloud, planes):
         raise IntegrityError("cover search returned hyperplanes that miss a point")
     return CoverSolution(tuple(planes))
@@ -127,34 +129,33 @@ def _plane_key(base, spans):
     return (-sum(a * b for a, b in zip(normal, base)), *normal)
 
 
-def _some_plane_holds(pts, target):
-    """Whether some hyperplane holds ``target`` of the distinct integer points.
+def _heavy_planes(pts, size):
+    """Each hyperplane through ``size`` or more points, as (key, member indices).
 
-    For d = 2 or 3 and target > d.  A hyperplane holding the most points is
-    spanned by d of them, so it suffices to hash the hyperplanes through
-    each anchor and d-1 later points; anchoring at the hyperplane's first
-    point finds all its members.  Anchors with fewer than target-1 later
-    points cannot reach the target and are skipped, so at most
-    C(n, d) - C(target-1, d) combinations are hashed.
+    For d = 2 or 3 and size >= 2.  Each hyperplane its points span is
+    yielded once, at its first point, by hashing the hyperplanes through
+    that anchor and d-1 later points; anchors with fewer than size-1 later
+    points are skipped, so at most C(n, d) - C(size-1, d) combinations are
+    hashed.  If an anchor and every later point are collinear (d = 3), any
+    plane through their line holds them all: the key is None, and last.
     """
-    n, d = len(pts), len(pts[0])
-    for a in range(n - target + 1):
+    n = len(pts)
+    found = set()
+    for a in range(n - size + 1):
         base = pts[a]
         diffs = [tuple(x - y for x, y in zip(p, base)) for p in pts[a + 1:]]
         members: dict[tuple, set] = {}
-        for combo in itertools.combinations(range(len(diffs)), d - 1):
+        for combo in itertools.combinations(range(len(diffs)), len(base) - 1):
             key = _plane_key(base, [diffs[t] for t in combo])
-            if key is None:
-                continue
-            held = members.setdefault(key, set())
-            held.update(combo)
-            if len(held) + 1 >= target:
-                return True
+            if key is not None:
+                members.setdefault(key, set()).update(combo)
         if not members:
-            # The anchor and every later point are collinear: a plane
-            # through their line holds all n - a >= target of them.
-            return True
-    return False
+            yield None, set(range(a, n))
+            return
+        for key, held in members.items():
+            if len(held) + 1 >= size and key not in found:
+                found.add(key)
+                yield key, {a, *(a + 1 + t for t in held)}
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +163,15 @@ def _some_plane_holds(pts, target):
 
 
 def _solve_partition(pts, den, k, guard):
+    """At most k hyperplanes through the distinct integer points, or None."""
+    if k == 0:
+        return None
     n, d = len(pts), len(pts[0])
     target = -(-n // k)
     # The cut's hashing, bounded by its worst case C(n, d) - C(target-1, d).
     if (2 <= d <= 3 and n > k * d
             and math.comb(n, d) - math.comb(target - 1, d) <= CUT_KEY_LIMIT
-            and not _some_plane_holds(pts, target)):
+            and not any(_heavy_planes(pts, target))):
         return None
     cap = resolve_guard(DEFAULT_NODE_GUARD, guard)
     nodes = 0
@@ -209,7 +213,7 @@ def _solve_partition(pts, den, k, guard):
                 return result
         return None
 
-    final = search(1, ((0, (), ()),)) if n else ()
+    final = search(1, ((0, (), ()),))
     if final is None:
         return None
     planes = []
@@ -223,64 +227,27 @@ def _solve_partition(pts, den, k, guard):
 # d=2 kernel
 
 
-@dataclass(frozen=True)
-class KernelResult:
-    reduced: WeightedPointCloud
-    forced: tuple
-    k: int
+def forced_line_kernel(pts, den, k):
+    """Classic quadratic kernel for covering distinct planar points with k lines.
 
-
-def forced_line_kernel(cloud: WeightedPointCloud, k: int) -> Optional[KernelResult]:
-    """Classic quadratic kernel for covering planar points with k lines.
-
-    Repeatedly forces any line through at least k+1 distinct positions (k
-    lines cannot otherwise cover them, as two lines share at most one point),
-    removing its positions and decrementing k.  Afterwards more than k^2
-    positions left means NO; otherwise the reduced instance together with the
-    forced lines is equivalent to the original.
+    ``pts`` are int numerators over ``den``.  Repeatedly forces a line
+    through at least k+1 of them (k lines cannot otherwise cover them, as
+    two lines share at most one point), removing its points and decrementing
+    k.  Of the heaviest lines it forces the one with the smallest normalized
+    coefficients.  Returns (pts, forced, k) for what remains, or None when
+    more than k^2 points remain, which k lines cannot cover.
     """
-    _require_rational(cloud, "forced_line_kernel")
-    if cloud.dim != 2:
-        raise DimensionMismatchError("forced_line_kernel requires d = 2")
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    pts = cloud.distinct_positions()
-    forced: list[Hyperplane] = []
-    k_cur = k
-    while k_cur >= 1 and len(pts) >= 2:
-        lines: dict[tuple, set] = {}
-        for (i, p), (j, q) in itertools.combinations(enumerate(pts), 2):
-            key = _plane_key(p, [(q[0] - p[0], q[1] - p[1])])
-            lines.setdefault(key, set()).update((i, j))
-        most = max(map(len, lines.values()))
-        if most < k_cur + 1:
+    forced = []
+    while k >= 1:
+        # A key's plane c0 + n.p = 0 in the numerators p is c0 + (den*n).x = 0.
+        lines = [(-len(m), Hyperplane((c0, den * a, den * b)).coeffs, m)
+                 for (c0, a, b), m in _heavy_planes(pts, k + 1)]
+        if not lines:
             break
-        # Force a line with the most members; ties go to the smallest
-        # normalized coefficients, so only those lines need a Hyperplane.
-        heaviest = {fit_hyperplane_exact([pts[i] for i in sorted(m)[:2]], cloud.den).coeffs: m
-                    for m in lines.values() if len(m) == most}
-        coeffs = min(heaviest)
-        members = heaviest[coeffs]
+        _, coeffs, members = min(lines)
         forced.append(Hyperplane(coeffs))
         pts = [p for t, p in enumerate(pts) if t not in members]
-        k_cur -= 1
-    if len(pts) > k_cur * k_cur:
+        k -= 1
+    if len(pts) > k * k:
         return None
-    kept = set(pts)
-    reduced_records = tuple(r for r in cloud.records if r.coords in kept)
-    reduced = WeightedPointCloud(cloud.dim, cloud.mode, reduced_records, cloud.den)
-    return KernelResult(reduced, tuple(forced), k_cur)
-
-
-def solve_cover_kernelized(cloud: WeightedPointCloud, k: int,
-                           *, guard: int | None = None) -> Optional[CoverSolution]:
-    """Kernel + search; answers agree with plain solve_cover on every instance."""
-    kr = forced_line_kernel(cloud, k)
-    if kr is None:
-        return None
-    if not kr.reduced.records:
-        return CoverSolution(kr.forced)
-    inner = solve_cover(kr.reduced, kr.k, guard=guard)
-    if inner is None:
-        return None
-    return CoverSolution(kr.forced + inner.hyperplanes)
+    return pts, forced, k

@@ -10,6 +10,13 @@ from .reductions import ColoredGraph
 from .util import make_rng
 
 
+def _check_size(n_points: int, dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"dimension must be at least 1, got {dim}")
+    if n_points < 1:
+        raise ValueError(f"need at least one point, got n = {n_points}")
+
+
 def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
                         *, spacing: float = 1.0, rotate: bool = True):
     """Points near k parallel lines (spacing apart), optionally rigidly rotated.
@@ -19,6 +26,7 @@ def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
     (cloud, planted_labels, planted_lines) where the lines are given as
     (point, direction) pairs in the rotated frame.
     """
+    _check_size(n_points, 2)
     if k_lines < 1:
         raise ValueError(f"need at least one planted line, got k = {k_lines}")
     rng = make_rng(seed)
@@ -48,6 +56,7 @@ def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
 
 def random_cloud(n_points: int, dim: int, seed: int, *, scale: float = 5.0,
                  max_mult: int = 1) -> WeightedPointCloud:
+    _check_size(n_points, dim)
     if max_mult < 1:
         raise ValueError(f"max_mult must be at least 1, got {max_mult}")
     rng = make_rng(seed)
@@ -59,6 +68,7 @@ def random_cloud(n_points: int, dim: int, seed: int, *, scale: float = 5.0,
 def random_exact_cloud(n_points: int, dim: int, seed: int, *,
                        coord_range: int = 8) -> WeightedPointCloud:
     """Distinct small-integer positions, for exact cover experiments."""
+    _check_size(n_points, dim)
     if n_points > (2 * coord_range + 1) ** dim:
         raise ValueError(f"only {(2 * coord_range + 1) ** dim} distinct positions exist "
                          f"in [-{coord_range}, {coord_range}]^{dim}, asked for {n_points}")

@@ -20,7 +20,6 @@ from flatcover.clustering import (
 )
 from flatcover.cover import (
     solve_cover,
-    solve_cover_kernelized,
     verify_cover,
 )
 from flatcover.fitting import best_fit_flat
@@ -205,7 +204,7 @@ def test_criterion_5_cover_exactness():
         if got is not None:
             assert len(got.hyperplanes) <= k
             assert verify_cover(cloud, got.hyperplanes)
-        viakernel = solve_cover_kernelized(cloud, k)
+        viakernel = solve_cover(cloud, k, kernel=True)
         assert (viakernel is None) == (got is None)
         if viakernel is not None:
             assert verify_cover(cloud, viakernel.hyperplanes)

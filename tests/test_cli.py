@@ -458,12 +458,23 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
      "dimension must be at least 1, got -1"),
     (["cover", "{zero_dim}", "-k", "1", "-o", "{out}"],
      "dimension must be at least 1, got 0"),
+    (["gen", "random", "--dim", "-1", "-n", "3", "-o", "{out}"],
+     "dimension must be at least 1, got -1"),
+    (["gen", "random-exact", "--dim", "-1", "-n", "1", "-o", "{out}"],
+     "dimension must be at least 1, got -1"),
+    (["gen", "random", "-n", "0", "-o", "{out}"], "need at least one point, got n = 0"),
+    (["gen", "random-exact", "-n", "0", "-o", "{out}"], "need at least one point, got n = 0"),
+    (["gen", "planted", "-n", "0", "-o", "{out}"], "need at least one point, got n = 0"),
+    (["cover", "{space_cloud}", "-k", "1", "--kernel", "-o", "{out}"],
+     "kernel requires d = 2"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "ds-cover-above-k", "plot-witness",
         "plot-fit-result", "plot-solution-list", "plot-nested-basis", "planted-k-zero",
         "planted-k-negative", "cluster-k-above-records", "heuristic-k-above-records",
         "random-dim-zero", "random-exact-dim-zero", "random-max-mult-zero",
-        "cloud-dim-negative", "cover-dim-zero"])
+        "cloud-dim-negative", "cover-dim-zero", "random-dim-negative",
+        "random-exact-dim-negative", "random-n-zero", "random-exact-n-zero",
+        "planted-n-zero", "cover-kernel-3d"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
@@ -481,6 +492,8 @@ def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
             "solution_list": [1],
             "negative_dim": {"dim": -1, "scalar": "float", "points": []},
             "zero_dim": {"dim": 0, "scalar": "rational", "points": [{"coords": []}]},
+            "space_cloud": {"dim": 3, "scalar": "rational",
+                            "points": [{"coords": ["0", "0", "0"]}]},
             "nested_basis": {"flats": [{"basis": [[[1]]], "offset": [0.0, 0.0]}]}}
     paths = {"out": str(tmp_path / "out")}
     for role, doc in docs.items():

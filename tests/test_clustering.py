@@ -22,7 +22,7 @@ from flatcover.clustering import (
 )
 from flatcover.errors import GuardLimitError, ScalarModeError
 from flatcover.fitting import best_fit_flat, fit_points
-from flatcover.generators import planted_lines_cloud
+from flatcover.generators import planted_lines_cloud, random_cloud
 from flatcover.geometry import (
     MODE_FLOAT,
     MODE_RATIONAL,
@@ -146,12 +146,12 @@ def test_solve_exact_permutation_invariance():
 
 
 def test_solve_exact_respects_guard():
-    # The guard caps visited search nodes: the seeded search visits 386 of
+    # The guard caps visited search nodes: the seeded search visits 450 of
     # them, far fewer than its 88,572 canonical partitions.
     cloud = fcloud(np.random.default_rng(0).normal(size=(12, 2)))
     with pytest.raises(GuardLimitError):
-        solve_exact(cloud, 3, 1, guard=385)
-    solve_exact(cloud, 3, 1, guard=386)
+        solve_exact(cloud, 3, 1, guard=449)
+    solve_exact(cloud, 3, 1, guard=450)
 
 
 def test_guard_env_var_override(monkeypatch):
@@ -313,7 +313,7 @@ def test_solve_exact_planted_n19_under_default_guard(monkeypatch):
 
 
 def search_nodes(cloud, k, r, seed=None):
-    """Nodes the bounded search visits, as solve_exact's first pass runs it."""
+    """Nodes the bounded search visits on the records as given."""
     best = [math.inf]
 
     def leaf(labels, total):
@@ -332,7 +332,7 @@ def test_seeded_search_node_counts():
     planted, _, _ = planted_lines_cloud(19, 3, 0.1, 0)
     assert search_nodes(guarded, 3, 1) == 774
     assert search_nodes(guarded, 3, 1, seed_labels(guarded, 3, 1)) == 386
-    assert search_nodes(planted, 3, 1) == 3877
+    assert search_nodes(planted, 3, 1) == 3870
     assert search_nodes(planted, 3, 1, seed_labels(planted, 3, 1)) == 140
 
 
@@ -364,20 +364,21 @@ def test_seed_never_changes_the_answer(d, k, monkeypatch):
             assert sol.flats == unseeded.flats
 
 
-def test_search_reruns_when_no_leaf_beats_the_seed(monkeypatch):
-    # An incumbent that places only record 0 sets the bound a margin of
-    # about 2e-8 above that record's zero cost, which no partition of this
-    # cloud reaches: the first pass finds no leaf, and the second pass,
-    # from an infinite bound, gives the answer.
-    cloud = fcloud(np.random.default_rng(0).normal(size=(12, 2)))
-    expected = solve_exact(cloud, 3, 1)
-    first = search_nodes(cloud, 3, 1, [0])
-    second = search_nodes(cloud, 3, 1)
-    monkeypatch.setattr(clustering, "_lockstep_labels", lambda X, W, k, r: [0])
-    sol = solve_exact(cloud, 3, 1, guard=first + second)
-    assert sol.assignment == expected.assignment and sol.cost == expected.cost
-    with pytest.raises(GuardLimitError, match=str(first + second - 1)):
-        solve_exact(cloud, 3, 1, guard=first + second - 1)
+@pytest.mark.parametrize("shift", [0.0, 1e7, 1e8])
+def test_solve_exact_is_translation_invariant(shift):
+    # Raw second moments cancel far from the origin; the search runs on
+    # centred records, so a shift of every coordinate moves no label.
+    for seed in range(4):
+        cloud = random_cloud(12, 2, seed)
+        shifted = fcloud(cloud.coords_array() + shift)
+        assert solve_exact(shifted, 3, 1).assignment == solve_exact(cloud, 3, 1).assignment
+
+
+def test_solve_exact_pruning_neutral_far_from_the_origin():
+    cloud = fcloud(random_cloud(9, 2, 3).coords_array() + 1e8)
+    a = solve_exact(cloud, 3, 1, prune=True)
+    b = solve_exact(cloud, 3, 1, prune=False)
+    assert a.assignment == b.assignment and a.cost == b.cost
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

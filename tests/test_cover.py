@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcover import cover
-from flatcover.cover import (
-    forced_line_kernel,
-    solve_cover,
-    solve_cover_kernelized,
-    verify_cover,
-)
+from flatcover.cover import forced_line_kernel, solve_cover, verify_cover
 from flatcover.errors import GuardLimitError, IntegrityError, ScalarModeError
 from flatcover.fitting import fit_hyperplane_exact
 from flatcover.geometry import MODE_FLOAT, MODE_RATIONAL, Hyperplane, WeightedPointCloud
@@ -272,7 +267,7 @@ def test_counting_cut_keeps_collinear_3d_clouds():
 def reference_kernel(cloud, k):
     """The forced-line kernel with one exact Fraction line per point pair: the
     oracle the integer line hashing in forced_line_kernel must match.  The
-    reduced records come back as (Fraction coordinates, multiplicity)."""
+    remaining positions come back as Fraction coordinates."""
     positions = fraction_positions(cloud)
     forced = []
     k_cur = k
@@ -296,13 +291,12 @@ def reference_kernel(cloud, k):
         k_cur -= 1
     if len(positions) > k_cur * k_cur:
         return None
-    kept = set(positions)
-    return ([rec for rec in fraction_records(cloud) if rec[0] in kept],
-            tuple(forced), k_cur)
+    return positions, forced, k_cur
 
 
-def fraction_records(cloud):
-    return [(tuple(Fraction(c, cloud.den) for c in r.coords), r.mult) for r in cloud.records]
+def kernel(cloud, k):
+    """forced_line_kernel on a cloud's distinct positions."""
+    return forced_line_kernel(cloud.distinct_positions(), cloud.den, k)
 
 
 @settings(max_examples=40, deadline=None)
@@ -319,33 +313,39 @@ def test_kernel_matches_fraction_reference(seed, k, rational):
         den = [int(v) for v in rng.integers(1, 6, size=2)]
         pts = {(Fraction(x, den[0]), Fraction(y, den[1])) for x, y in pts}
     cloud = rcloud(pts)
-    got = forced_line_kernel(cloud, k)
+    got = kernel(cloud, k)
     expect = reference_kernel(cloud, k)
     if expect is None:
         assert got is None
     else:
-        assert (fraction_records(got.reduced), got.forced, got.k) == expect
+        left, forced, k_left = got
+        assert ([tuple(Fraction(c, cloud.den) for c in p) for p in left],
+                forced, k_left) == expect
 
 
 def test_kernel_forces_heavy_line():
     pts = [(i, 0) for i in range(5)] + [(0, 3), (2, 7)]
-    kr = forced_line_kernel(rcloud(pts), 2)
+    kr = kernel(rcloud(pts), 2)
     assert kr is not None
-    assert Hyperplane((0, 0, 1)) in kr.forced  # the line y = 0
-    remaining = {r.coords for r in kr.reduced.records}
+    remaining, forced, _ = kr
+    assert Hyperplane((0, 0, 1)) in forced  # the line y = 0
     assert all(p[1] != 0 for p in remaining)
 
 
 def test_kernel_grid_trace():
-    kr = forced_line_kernel(grid3x3(), 2)
+    kr = kernel(grid3x3(), 2)
     assert kr is None  # forcing cascades to k=0 with points left over
     assert solve_cover(grid3x3(), 2) is None
+    assert solve_cover(grid3x3(), 2, kernel=True) is None
 
 
 def test_kernel_empty_cloud():
-    kr = forced_line_kernel(WeightedPointCloud(2, MODE_RATIONAL, ()), 2)
+    kr = forced_line_kernel([], 1, 2)
     assert kr is not None
-    assert kr.forced == () and not kr.reduced.records
+    remaining, forced, _ = kr
+    assert forced == [] and remaining == []
+    empty = WeightedPointCloud(2, MODE_RATIONAL, ())
+    assert solve_cover(empty, 2, kernel=True) == solve_cover(empty, 2)
 
 
 @settings(max_examples=25, deadline=None)
@@ -355,8 +355,22 @@ def test_kernel_soundness(seed, k):
     pts = {tuple(int(c) for c in p) for p in rng.integers(-3, 4, size=(10, 2))}
     cloud = rcloud(pts)
     direct = solve_cover(cloud, k)
-    viakernel = solve_cover_kernelized(cloud, k)
+    viakernel = solve_cover(cloud, k, kernel=True)
     assert (direct is None) == (viakernel is None)
     if viakernel is not None:
         assert len(viakernel.hyperplanes) <= k
         assert verify_cover(cloud, viakernel.hyperplanes)
+
+
+def test_kernel_lines_are_checked_against_the_cloud(monkeypatch):
+    # Five points on y = 0 force that line; a kernel that forces y = 1
+    # instead leaves them uncovered, and solve_cover must not return it.
+    cloud = rcloud([(i, 0) for i in range(5)] + [(0, 3)])
+    assert solve_cover(cloud, 2, kernel=True) is not None
+
+    def wrong_kernel(pts, den, k):
+        return [(0, 3)], [Hyperplane((-1, 0, 1))], k - 1
+
+    monkeypatch.setattr(cover, "forced_line_kernel", wrong_kernel)
+    with pytest.raises(IntegrityError):
+        solve_cover(cloud, 2, kernel=True)
