@@ -19,8 +19,6 @@ from .geometry import (  # noqa: F401
     Hyperplane,
     PointRecord,
     WeightedPointCloud,
-    canonicalize_flat,
-    dist2_point_flat,
     total_cost,
 )
-from .fitting import FitResult, best_fit_flat, centroid, fit_hyperplane_exact  # noqa: F401
+from .fitting import FitResult, best_fit_flat, fit_hyperplane_exact  # noqa: F401

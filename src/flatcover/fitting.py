@@ -40,15 +40,6 @@ class FitResult:
         object.__setattr__(self, "spectrum", tuple(float(s) for s in self.spectrum))
 
 
-def centroid(cloud: WeightedPointCloud):
-    """Weighted mean of a float-mode cloud."""
-    if not cloud.records:
-        raise ValueError("centroid of an empty cloud")
-    X = cloud.coords_array()
-    w = cloud.weights_array()
-    return tuple((w @ X) / w.sum())
-
-
 def _sorted_eig(S: np.ndarray):
     """Eigenpairs sorted descending with deterministic tie-breaking.
 

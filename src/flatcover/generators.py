@@ -92,27 +92,6 @@ def matching_color_graph(ell: int, nu: int) -> ColoredGraph:
     return ColoredGraph(ell * nu, frozenset(edges), colors)
 
 
-def ring_color_graph(ell: int, nu: int) -> ColoredGraph:
-    """w_j of class i is adjacent to w_j of classes i-1 and i+1 cyclically (q = 2)."""
-    if ell < 3:
-        raise ValueError("ring graph needs at least three classes")
-    colors = tuple(tuple(range(i * nu, (i + 1) * nu)) for i in range(ell))
-    edges = set()
-    for i in range(ell):
-        nxt = (i + 1) % ell
-        for j in range(nu):
-            edges.add(tuple(sorted((colors[i][j], colors[nxt][j]))))
-    return ColoredGraph(ell * nu, frozenset(edges), colors)
-
-
-def path_graph(n: int) -> ColoredGraph:
-    return ColoredGraph(n, frozenset((i, i + 1) for i in range(n - 1)))
-
-
-def star_graph(leaves: int) -> ColoredGraph:
-    return ColoredGraph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))
-
-
 def all_graphs(n: int, *, connected: bool = True, max_degree: int | None = None):
     """Every labeled simple graph on n vertices matching the filters."""
     pairs = list(itertools.combinations(range(n), 2))

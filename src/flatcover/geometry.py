@@ -301,45 +301,6 @@ def dist2_rows(X: np.ndarray, flat: AffineFlat) -> np.ndarray:
     return np.einsum("ij,ij->i", Y, Y)
 
 
-def dist2_point_flat(x: Sequence, flat: AffineFlat) -> float:
-    """Squared Euclidean distance from one float point to a canonical flat."""
-    if len(x) != flat.dim_ambient:
-        raise DimensionMismatchError(
-            f"point of dim {len(x)} against flat in dim {flat.dim_ambient}")
-    if any(isinstance(c, Fraction) for c in x):
-        raise ScalarModeError("rational point against a float flat")
-    return float(dist2_rows(np.array([x], dtype=float), flat)[0])
-
-
-def canonicalize_flat(raw_basis: Sequence[Sequence], raw_offset: Sequence) -> AffineFlat:
-    """Build a canonical AffineFlat from any spanning basis and offset.
-
-    Orthonormalizes the basis by modified Gram-Schmidt in column order and
-    replaces the offset by its component orthogonal to the span; the
-    represented point set is unchanged.
-    """
-    cols = [list(col) for col in raw_basis]
-    d = len(raw_offset)
-    r = len(cols)
-    if any(len(c) != d for c in cols):
-        raise DimensionMismatchError("basis columns and offset have different lengths")
-    B = np.array(cols, dtype=float).T.reshape(d, r)
-    ortho = []
-    scale = max(1.0, float(np.max(np.abs(B)))) if r else 1.0
-    for j in range(r):
-        v = B[:, j].copy()
-        for u in ortho:
-            v -= (u @ v) * u
-        nrm = float(np.linalg.norm(v))
-        if nrm <= 1e-12 * scale:
-            raise RankDeficiencyError("raw basis is rank-deficient")
-        ortho.append(v / nrm)
-    p = np.asarray(raw_offset, dtype=float).copy()
-    for u in ortho:
-        p -= (u @ p) * u
-    return AffineFlat(d, r, tuple(tuple(u) for u in ortho), tuple(p), MODE_FLOAT)
-
-
 def total_cost(cloud: WeightedPointCloud, flats: Sequence[AffineFlat]) -> float:
     """Sum over records of multiplicity times squared distance to the nearest flat.
 

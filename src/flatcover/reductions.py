@@ -565,10 +565,13 @@ def exact_cloud_cost(cloud: WeightedPointCloud, lines: Sequence[AxisLine]) -> Fr
         raise ValueError("need at least one line")
     den = cloud.den
     hs, vs = (sorted(line.c * den for line in lines if line.axis == axis) for axis in "hv")
+    # A gadget's records share few distinct coordinates: bisect once for each.
+    h_gap = {y: _nearest_gap(hs, y) for y in {rec.coords[1] for rec in cloud.records}}
+    v_gap = {x: _nearest_gap(vs, x) for x in {rec.coords[0] for rec in cloud.records}}
     total = 0
     for rec in cloud.records:
         x, y = rec.coords
-        gap = min(_nearest_gap(hs, y), _nearest_gap(vs, x))
+        gap = min(h_gap[y], v_gap[x])
         total += rec.mult * gap * gap
     return Fraction(total, den * den)
 

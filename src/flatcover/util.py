@@ -20,11 +20,20 @@ GUARD_ENV_VAR = "FLATCOVER_GUARD"
 
 
 def resolve_guard(default: int, override: int | None = None) -> int:
-    """Effective enumeration cap: explicit override > env var > default."""
+    """Effective enumeration cap: explicit override > env var > default.
+
+    A negative cap, from either source, is a usage error (ValueError).
+    """
     if override is not None:
-        return int(override)
-    env = os.environ.get(GUARD_ENV_VAR)
-    return default if env is None else parse_int(env, GUARD_ENV_VAR)
+        cap, source = int(override), "--guard"
+    else:
+        env = os.environ.get(GUARD_ENV_VAR)
+        if env is None:
+            return default
+        cap, source = parse_int(env, GUARD_ENV_VAR), GUARD_ENV_VAR
+    if cap < 0:
+        raise ValueError(f"{source} must be at least 0, got {cap}")
+    return cap
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:

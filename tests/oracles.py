@@ -1,16 +1,26 @@
-"""Brute-force references the solvers are checked against.
+"""Brute-force references the solvers are checked against, and the small
+builders that only tests use.
 
-Each one enumerates its whole search space and shares no search code with
-the solver it checks.
+Each reference enumerates its whole search space and shares no search code
+with the solver it checks.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Sequence
 
-from flatcover.errors import AffineDependenceError
+import numpy as np
+
+from flatcover.errors import (
+    AffineDependenceError,
+    DimensionMismatchError,
+    RankDeficiencyError,
+    ScalarModeError,
+)
 from flatcover.fitting import best_fit_flat, echelon_row, fit_hyperplane_exact, reduce_row
-from flatcover.geometry import WeightedPointCloud
+from flatcover.geometry import MODE_FLOAT, AffineFlat, WeightedPointCloud, dist2_rows
+from flatcover.reductions import ColoredGraph
 
 
 def partitions(n, k):
@@ -113,3 +123,72 @@ def full_rank(matrix):
             return False
         rows.append(echelon_row(v))
     return True
+
+
+def dist2_point_flat(x: Sequence, flat: AffineFlat) -> float:
+    """Squared Euclidean distance from one float point to a canonical flat."""
+    if len(x) != flat.dim_ambient:
+        raise DimensionMismatchError(
+            f"point of dim {len(x)} against flat in dim {flat.dim_ambient}")
+    if any(isinstance(c, Fraction) for c in x):
+        raise ScalarModeError("rational point against a float flat")
+    return float(dist2_rows(np.array([x], dtype=float), flat)[0])
+
+
+def canonicalize_flat(raw_basis: Sequence[Sequence], raw_offset: Sequence) -> AffineFlat:
+    """Build a canonical AffineFlat from any spanning basis and offset.
+
+    Orthonormalizes the basis by modified Gram-Schmidt in column order and
+    replaces the offset by its component orthogonal to the span; the
+    represented point set is unchanged.
+    """
+    cols = [list(col) for col in raw_basis]
+    d = len(raw_offset)
+    r = len(cols)
+    if any(len(c) != d for c in cols):
+        raise DimensionMismatchError("basis columns and offset have different lengths")
+    B = np.array(cols, dtype=float).T.reshape(d, r)
+    ortho = []
+    scale = max(1.0, float(np.max(np.abs(B)))) if r else 1.0
+    for j in range(r):
+        v = B[:, j].copy()
+        for u in ortho:
+            v -= (u @ v) * u
+        nrm = float(np.linalg.norm(v))
+        if nrm <= 1e-12 * scale:
+            raise RankDeficiencyError("raw basis is rank-deficient")
+        ortho.append(v / nrm)
+    p = np.asarray(raw_offset, dtype=float).copy()
+    for u in ortho:
+        p -= (u @ p) * u
+    return AffineFlat(d, r, tuple(tuple(u) for u in ortho), tuple(p), MODE_FLOAT)
+
+
+def centroid(cloud: WeightedPointCloud):
+    """Weighted mean of a float-mode cloud."""
+    if not cloud.records:
+        raise ValueError("centroid of an empty cloud")
+    X = cloud.coords_array()
+    w = cloud.weights_array()
+    return tuple((w @ X) / w.sum())
+
+
+def ring_color_graph(ell: int, nu: int) -> ColoredGraph:
+    """w_j of class i is adjacent to w_j of classes i-1 and i+1 cyclically (q = 2)."""
+    if ell < 3:
+        raise ValueError("ring graph needs at least three classes")
+    colors = tuple(tuple(range(i * nu, (i + 1) * nu)) for i in range(ell))
+    edges = set()
+    for i in range(ell):
+        nxt = (i + 1) % ell
+        for j in range(nu):
+            edges.add(tuple(sorted((colors[i][j], colors[nxt][j]))))
+    return ColoredGraph(ell * nu, frozenset(edges), colors)
+
+
+def path_graph(n: int) -> ColoredGraph:
+    return ColoredGraph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def star_graph(leaves: int) -> ColoredGraph:
+    return ColoredGraph(leaves + 1, frozenset((0, i) for i in range(1, leaves + 1)))

@@ -29,14 +29,11 @@ from flatcover.generators import (
     min_dominating_size,
     planted_lines_cloud,
     random_exact_cloud,
-    ring_color_graph,
 )
 from flatcover.geometry import (
     MODE_FLOAT,
     MODE_RATIONAL,
     WeightedPointCloud,
-    canonicalize_flat,
-    dist2_point_flat,
     total_cost,
 )
 from flatcover.reductions import (
@@ -49,7 +46,14 @@ from flatcover.reductions import (
     rmis_to_line_clustering,
     vandermonde_value,
 )
-from oracles import cover_oracle, full_rank, unpruned_optimum
+from oracles import (
+    canonicalize_flat,
+    cover_oracle,
+    dist2_point_flat,
+    full_rank,
+    ring_color_graph,
+    unpruned_optimum,
+)
 
 
 def report(num, ok, elapsed, detail=""):

@@ -6,6 +6,7 @@ import inspect
 import json
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import time
@@ -16,9 +17,10 @@ from hypothesis import strategies as st
 
 from flatcover.cli import build_parser, main
 from flatcover import io as fio
-from flatcover.generators import matching_color_graph, path_graph
+from flatcover.generators import matching_color_graph
 from flatcover.geometry import PointRecord
 from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
+from oracles import path_graph
 
 
 def run(argv):
@@ -523,6 +525,71 @@ def test_every_option_is_read_by_its_handler():
     with pytest.raises(SystemExit) as exc:
         main(["fit", "pts.json", "-r", "1", "--guard", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("extra,env,message", [
+    (["--guard", "-5"], None, "--guard must be at least 0, got -5"),
+    ([], "-3", "FLATCOVER_GUARD must be at least 0, got -3")], ids=["option", "env"])
+def test_negative_guard_exits_2(tmp_path, planted_file, capsys, monkeypatch, extra, env,
+                                message):
+    if env is not None:
+        monkeypatch.setenv("FLATCOVER_GUARD", env)
+    out = tmp_path / "s.json"
+    assert run(["cluster", planted_file, "-k", "2", "-r", "1", *extra, "-o", str(out)]) == 2
+    assert message in assert_usage_error(capsys)
+    assert not out.exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, planted_file, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for _ in range(3):
+        assert run(["fit", planted_file, "-r", "1", "-o", str(tmp_path / "fit.json")]) == 0
+    assert built.count("flatcover") == 1
+    assert len(built) == len(set(built))  # no subcommand parser rebuilt either
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(fio.__file__))
+    code = "import flatcover.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0\n"), done.stderr
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, planted_file, capsys):
+    # A usage error, then a valid call of the same command.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"dim": 2, "scalar": "rational", "points": [
+        {"coords": [str(x), str(y)]} for x in range(2) for y in range(2)]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["cover", str(grid)])
+    assert exc.value.code == 2
+    assert "usage: flatcover cover" in capsys.readouterr().err
+    assert run(["cover", str(grid), "-k", "2", "-o", str(tmp_path / "c.json")]) == 0
+    assert capsys.readouterr() == ("YES\n", "")
+    # An appended option does not carry over into the next call.
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 4))))
+    for name, extra in (("o.json", ["--override", "p=1000"]), ("p.json", [])):
+        assert run(["reduce-rmis", str(gpath), *extra, "-o", str(tmp_path / name)]) == 0
+    assert "constant overrides in effect" in read_json(tmp_path / "o.json")["meta"]["warnings"]
+    assert "constant overrides in effect" not in read_json(tmp_path / "p.json")["meta"]["warnings"]
+    # A budget given once is not remembered.
+    assert run(["cluster", planted_file, "-k", "2", "-r", "1", "--budget", "1e9",
+                "-o", str(tmp_path / "b.json")]) == 0
+    assert read_json(tmp_path / "b.json")["decision"] == "YES"
+    assert run(["cluster", planted_file, "-k", "2", "-r", "1",
+                "-o", str(tmp_path / "n.json")]) == 0
+    assert capsys.readouterr().out == "YES\n"
+    assert "decision" not in read_json(tmp_path / "n.json")
 
 
 JSON_VALUES = st.recursive(

@@ -28,11 +28,10 @@ from flatcover.geometry import (
     MODE_RATIONAL,
     ClusteringSolution,
     WeightedPointCloud,
-    dist2_point_flat,
     dist2_rows,
 )
 from flatcover.util import make_rng, resolve_guard
-from oracles import partitions, unpruned_optimum
+from oracles import dist2_point_flat, partitions, unpruned_optimum
 
 
 def fcloud(points, mults=None):
@@ -167,6 +166,13 @@ def test_guard_env_var_malformed(monkeypatch):
     monkeypatch.setenv("FLATCOVER_GUARD", "abc")
     with pytest.raises(ValueError, match="FLATCOVER_GUARD.*'abc'"):
         resolve_guard(10)
+
+
+def test_guard_of_zero_is_kept(monkeypatch):
+    # Only a negative cap is refused (test_cli.test_negative_guard_exits_2).
+    assert resolve_guard(10, 0) == 0
+    monkeypatch.setenv("FLATCOVER_GUARD", "0")
+    assert resolve_guard(10) == 0
 
 
 def test_solve_exact_rejects_rational_cloud():

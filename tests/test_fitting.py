@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcover.errors import AffineDependenceError, ScalarModeError
-from flatcover.fitting import best_fit_flat, centroid, fit_hyperplane_exact
+from flatcover.fitting import best_fit_flat, fit_hyperplane_exact
 from flatcover.geometry import (
     MODE_FLOAT,
     MODE_RATIONAL,
     WeightedPointCloud,
-    dist2_point_flat,
     total_cost,
 )
+from oracles import canonicalize_flat, centroid, dist2_point_flat
 
 
 def fcloud(points, mults=None):
@@ -132,7 +132,6 @@ def test_best_fit_local_optimality(seed):
         bx, by = res.flat.basis[0]
         basis = ((c * bx - s * by, s * bx + c * by),)
         shift = np.asarray(res.flat.offset) + eps * rng.normal(size=2)
-        from flatcover.geometry import canonicalize_flat
         perturbed = canonicalize_flat(basis, tuple(shift))
         assert total_cost(cloud, [perturbed]) >= res.cost - 1e-9
 

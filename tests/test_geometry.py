@@ -17,13 +17,11 @@ from flatcover.geometry import (
     Hyperplane,
     PointRecord,
     WeightedPointCloud,
-    canonicalize_flat,
-    dist2_point_flat,
     parse_scalar,
     total_cost,
 )
 from flatcover.reductions import AxisLine, exact_cloud_cost
-from oracles import fraction_cloud_cost, fraction_covers
+from oracles import canonicalize_flat, dist2_point_flat, fraction_cloud_cost, fraction_covers
 
 
 def dist2_point_complement_form(x, comp, p, tol=1e-9):

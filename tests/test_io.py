@@ -4,14 +4,10 @@ from fractions import Fraction
 import pytest
 
 from flatcover import io as fio
-from flatcover.generators import (
-    matching_color_graph,
-    path_graph,
-    random_cloud,
-    ring_color_graph,
-)
+from flatcover.generators import matching_color_graph, random_cloud
 from flatcover.geometry import MODE_RATIONAL, WeightedPointCloud
 from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
+from oracles import path_graph, ring_color_graph
 
 
 def test_cloud_json_roundtrip_rational_bignum():

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcover.cover import solve_cover, verify_cover
-from flatcover.generators import (
-    matching_color_graph,
-    min_dominating_size,
-    path_graph,
-    ring_color_graph,
-    star_graph,
-)
+from flatcover.generators import matching_color_graph, min_dominating_size
 from flatcover.geometry import MODE_RATIONAL, Hyperplane, WeightedPointCloud
 from flatcover.reductions import (
     AxisLine,
@@ -35,7 +29,14 @@ from flatcover.reductions import (
     vandermonde_value,
 )
 from flatcover import io as fio
-from oracles import fraction_cloud_cost, fraction_covers, full_rank
+from oracles import (
+    fraction_cloud_cost,
+    fraction_covers,
+    full_rank,
+    path_graph,
+    ring_color_graph,
+    star_graph,
+)
 
 TOY_CONSTANTS = {"p": 2, "W": 8, "d_s": 3200, "d_l": 1000}
 
@@ -337,6 +338,20 @@ def test_exact_cloud_cost_mixes_vertical_and_horizontal_lines():
     cost = exact_cloud_cost(cloud, [AxisLine("v", 0), AxisLine("h", 0), AxisLine("v", 4)])
     assert cost == 2 * 1 + 4 * Fraction(1, 4) + 9 * Fraction(1, 9)
     assert cost == Fraction(4)
+
+
+def test_exact_cloud_cost_matches_a_per_record_sum():
+    # exact_cloud_cost looks each distinct coordinate up once; the oracle
+    # sums every record against every line.
+    inst = rmis_to_line_clustering(matching_color_graph(2, 8))
+    for selection in [(4, 5), (3, 3)]:
+        lines = independent_set_to_lines(inst, selection)
+        assert exact_cloud_cost(inst.cloud, lines) == fraction_cloud_cost(inst.cloud, lines)
+    grid = [(Fraction(x, 6), Fraction(y, 4)) for x in range(-7, 8, 3) for y in range(-5, 6, 2)]
+    cloud = WeightedPointCloud.create(grid, MODE_RATIONAL, [1 + i % 4 for i in range(len(grid))])
+    assert cloud.den != 1
+    lines = [AxisLine("h", Fraction(1, 2)), AxisLine("v", -1), AxisLine("v", Fraction(2, 5))]
+    assert exact_cloud_cost(cloud, lines) == fraction_cloud_cost(cloud, lines)
 
 
 @st.composite
