@@ -47,6 +47,7 @@ from .reductions import (
 )
 from . import io as fio
 from .plotting import render_svg
+from .util import DEFAULT_NODE_GUARD, resolve_guard
 
 
 def _load_json(path: str) -> dict:
@@ -96,13 +97,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    # Resolved in both modes, so that a negative cap is refused with or
+    # without --heuristic, which has no node guard.
+    guard = resolve_guard(DEFAULT_NODE_GUARD, args.guard)
     cloud = _load_cloud(args.input, args.csv_mult)
     if args.heuristic:
         config = HeuristicConfig(restarts=args.restarts, max_iter=args.max_iter,
                                  rel_tol=args.tol, rng_seed=args.seed)
         sol = solve_heuristic(cloud, args.k, args.r, config)
     else:
-        sol = solve_exact(cloud, args.k, args.r, guard=args.guard)
+        sol = solve_exact(cloud, args.k, args.r, guard=guard)
     payload = fio.clustering_solution_to_obj(sol, args.r)
     payload["kind"] = "clustering"
     payload["mode"] = "heuristic" if args.heuristic else "exact"

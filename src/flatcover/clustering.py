@@ -11,12 +11,18 @@ search's own block updates.  Counting consistent partitions runs the same
 search unbounded.  Both are capped by the nodes visited.
 
 Each block keeps its weight, coordinate sums and upper-triangle raw second
-moments as scalar Python floats, updated from per-record terms computed
-once.  Its cost, the sum of the d-r smallest eigenvalues of the centred
-scatter, has a closed form for d <= 3 (Smith's trigonometric eigenvalues
-for d = 3, falling back to eigvalsh where the eigenvalue needed is nearly
-repeated); larger d call eigvalsh.  The returned optimum is refitted
-through :func:`fitting.fit_points`.
+moments as one tuple of Python floats, the sum of per-record terms computed
+once.  Records join blocks in ascending index order, so these floats and
+the block's cost are a function of its record set alone: for k >= 3 the
+search memoises each block state by its record bitmask and reuses it on
+every branch where that block recurs, clearing the memo at MEMO_LIMIT
+states.
+The memo changes no node, total or answer; the node guard still counts
+nodes visited, not cost evaluations.  The cost, the sum of the d-r
+smallest eigenvalues of the centred scatter, has a closed form for d <= 3
+(Smith's trigonometric eigenvalues for d = 3, falling back to eigvalsh
+where the eigenvalue needed is nearly repeated); larger d call eigvalsh.
+The returned optimum is refitted through :func:`fitting.fit_points`.
 
 Records, not expanded points, are the unit of partitioning: a stack of
 duplicates always moves together, which is cost-neutral for multisets.
@@ -25,6 +31,7 @@ duplicates always moves together, which is cost-neutral for multisets.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,28 +111,30 @@ def _eig_cost(A: np.ndarray, r: int) -> float:
 
 
 def _block_cost(d: int, r: int):
-    """Optimal r-flat cost of one block as ``cost(w, s, m)``.
+    """Optimal r-flat cost of one block as ``cost(w, s0, .., m0, ..)``.
 
-    ``w`` is the block weight, ``s`` its d coordinate sums and ``m`` its d(d+1)/2
+    ``w`` is the block weight, then come its d coordinate sums and its d(d+1)/2
     raw second moments, upper triangle row by row.  The cost is the sum of the
     d-r smallest eigenvalues of the centred scatter a_ij = m_ij - s_i s_j / w:
     closed forms for d <= 3 (Smith's trigonometric eigenvalues for d = 3, with
     an eigvalsh fallback near a repeated eigenvalue), eigvalsh beyond.
     """
     if d == 1:
-        def cost(w, s, m):
-            return max(m[0] - s[0] * s[0] / w, 0.0)
+        def cost(w, s0, m00):
+            return max(m00 - s0 * s0 / w, 0.0)
     elif d == 2:
-        def cost(w, s, m):
-            s0, s1 = s
-            a = m[0] - s0 * s0 / w
-            b = m[2] - s1 * s1 / w
+        def cost(w, s0, s1, m00, m01, m11):
+            a = m00 - s0 * s0 / w
+            b = m11 - s1 * s1 / w
             if r == 0:
                 return max(a + b, 0.0)
-            c = m[1] - s0 * s1 / w
+            c = m01 - s0 * s1 / w
             half = 0.5 * (a + b)
-            # ``** 2`` (libm pow) rounds like the numpy form of this cost did;
-            # on a Python float it raises on overflow instead of giving inf.
+            # ``** 2`` is libm pow, which does not round like ``gap * gap`` or
+            # numpy's ``** 2`` on every input (under glibc 2.36 it differs on
+            # 1,715 of 2e6 random doubles); it is kept because changing it
+            # moves answers.  On a Python float it raises on overflow instead
+            # of giving inf.
             try:
                 gap2 = (a - b) ** 2
             except OverflowError:
@@ -137,17 +146,16 @@ def _block_cost(d: int, r: int):
         # is minus the largest eigenvalue of -A (whose h is -h).
         sign = 1.0 if r == 1 else -1.0
 
-        def cost(w, s, m):
-            s0, s1, s2 = s
-            a00 = m[0] - s0 * s0 / w
-            a11 = m[3] - s1 * s1 / w
-            a22 = m[5] - s2 * s2 / w
+        def cost(w, s0, s1, s2, m00, m01, m02, m11, m12, m22):
+            a00 = m00 - s0 * s0 / w
+            a11 = m11 - s1 * s1 / w
+            a22 = m22 - s2 * s2 / w
             trace = a00 + a11 + a22
             if r == 0:
                 return max(trace, 0.0)
-            a01 = m[1] - s0 * s1 / w
-            a02 = m[2] - s0 * s2 / w
-            a12 = m[4] - s1 * s2 / w
+            a01 = m01 - s0 * s1 / w
+            a02 = m02 - s0 * s2 / w
+            a12 = m12 - s1 * s2 / w
             q = trace / 3.0
             b00 = a00 - q
             b11 = a11 - q
@@ -175,7 +183,8 @@ def _block_cost(d: int, r: int):
     else:
         rows, cols = np.triu_indices(d)
 
-        def cost(w, s, m):
+        def cost(w, *v):
+            s, m = v[:d], v[d:]
             M = np.empty((d, d))
             M[rows, cols] = m
             M[cols, rows] = m
@@ -188,18 +197,30 @@ def _block_cost(d: int, r: int):
 SEED_MARGIN = 1e-9
 
 
+# The search's memo of block states is cleared once it holds this many.
+MEMO_LIMIT = 2**16
+
+
 def _search(X, W, k, r, guard, leaf, seed=None) -> int:
     """Depth-first search over canonical partitions into at most k blocks.
 
     Record i joins an existing block or opens the next one (restricted growth
-    strings).  Each block keeps its weight, coordinate sums and raw second
-    moments as plain floats; a record joining a block builds the block's new
-    state from per-record terms computed once, and backtracking restores the
-    old state, so every node's totals depend on its path alone.  A block of
-    at most r+1 records costs exactly 0.0.  Every complete partition goes to
-    ``leaf(labels, total)``, which returns the bound: a branch is cut once
-    its accumulated cost reaches it.  The loop keeps its own stack, so the
-    depth is not limited by Python's recursion limit.
+    strings).  A block's state is its record bitmask, its moments (weight,
+    coordinate sums and raw second moments as one tuple of plain floats, the
+    sum of per-record terms computed once), its cost and its size; a join
+    replaces the block's state, and backtracking restores the old one.  A
+    block of at most r+1 records costs exactly 0.0.  Every complete partition
+    goes to ``leaf(labels, total)``, which returns the bound: a branch is cut
+    once its accumulated cost reaches it.  The loop keeps its own stack, so
+    the depth is not limited by Python's recursion limit.
+
+    Records join blocks in ascending index order on every branch, so a
+    block's floats, cost included, are a function of its record set alone.
+    For k >= 3 each grown state is therefore kept in a dict keyed by its
+    bitmask and reused wherever the same block recurs; the dict is cleared
+    once it holds MEMO_LIMIT states, and a state built again is the same bit
+    for bit.  The memo saves work only: the nodes visited, the totals and
+    the leaves are those of the search without it.
 
     ``seed``, a labelling of the records, is first replayed as a restricted
     growth string through the same block updates; the bound then starts just
@@ -211,22 +232,28 @@ def _search(X, W, k, r, guard, leaf, seed=None) -> int:
     n, d = X.shape
     cost = _block_cost(d, r)
     rows, cols = (idx.tolist() for idx in np.triu_indices(d))
-    # Per-record terms in the operation order of ``wt * x`` and
+    # Per-record terms in the operation order of ``wt``, ``wt * x`` and
     # ``np.outer(x, x) * wt``.
-    ws = W.tolist()
-    xs = X.tolist()
-    rs = [[wt * x[a] for a in range(d)] for x, wt in zip(xs, ws)]
-    rm = [[(x[a] * x[b]) * wt for a, b in zip(rows, cols)] for x, wt in zip(xs, ws)]
-    # A block's state: weight, coordinate sums, raw second moments, cost, size.
-    empty = (0.0, [0.0] * d, [0.0] * len(rows), 0.0, 0)
+    terms = [(wt, *[wt * x[a] for a in range(d)],
+              *[(x[a] * x[b]) * wt for a, b in zip(rows, cols)])
+             for x, wt in zip(X.tolist(), W.tolist())]
+    # A block's state: record bitmask, moments, cost, size.
+    empty = (0, (0.0,) * len(terms[0]), 0.0, 0)
+    memo = {}
 
     def grow(state, i):
-        w, s, m, _, size = state
-        w += ws[i]
-        s = [p + q for p, q in zip(s, rs[i])]
-        m = [p + q for p, q in zip(m, rm[i])]
+        """State of ``state``'s block plus record i; callers look in ``memo`` first."""
+        mask = state[0] | 1 << i
+        v = tuple(map(operator.add, state[1], terms[i]))
         # The grown block has size+1 records; r+1 of them lie on an r-flat.
-        return w, s, m, cost(w, s, m) if size > r else 0.0, size + 1
+        grown = mask, v, cost(*v) if state[3] > r else 0.0, state[3] + 1
+        # With at most two blocks, a block's record set and the record that
+        # completes it fix the node, so no state would be looked up again.
+        if k > 2:
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[mask] = grown
+        return grown
 
     bound = math.inf
     nodes = 0
@@ -236,8 +263,9 @@ def _search(X, W, k, r, guard, leaf, seed=None) -> int:
         total = peak = 0.0
         for i, lab in enumerate(seed):
             b = first.setdefault(lab, len(first))
-            state = grow(blocks[b], i)
-            total = total - blocks[b][3] + state[3]
+            old = blocks[b]
+            state = memo.get(old[0] | 1 << i) or grow(old, i)
+            total = total - old[2] + state[2]
             blocks[b] = state
             peak = max(peak, total)
         if math.isfinite(total):
@@ -261,7 +289,7 @@ def _search(X, W, k, r, guard, leaf, seed=None) -> int:
     blocks[0] = grow(empty, 0)
     visit()
     if n == 1:
-        leaf(labels, blocks[0][3])
+        leaf(labels, blocks[0][2])
         return nodes
     # Depth i places record i: its running total, blocks in use, next block
     # to try, and the (block, state) its join displaced.
@@ -269,7 +297,7 @@ def _search(X, W, k, r, guard, leaf, seed=None) -> int:
     used = [0] * n
     nxt = [0] * n
     saved = [None] * n
-    totals[1] = blocks[0][3]
+    totals[1] = blocks[0][2]
     used[1] = 1
     i = 1
     while i:
@@ -282,8 +310,8 @@ def _search(X, W, k, r, guard, leaf, seed=None) -> int:
             continue
         nxt[i] = b + 1
         old = blocks[b]
-        state = grow(old, i)
-        total = totals[i] - old[3] + state[3]
+        state = memo.get(old[0] | 1 << i) or grow(old, i)
+        total = totals[i] - old[2] + state[2]
         if total >= bound:
             continue
         visit()

@@ -529,7 +529,11 @@ def test_every_option_is_read_by_its_handler():
 
 @pytest.mark.parametrize("extra,env,message", [
     (["--guard", "-5"], None, "--guard must be at least 0, got -5"),
-    ([], "-3", "FLATCOVER_GUARD must be at least 0, got -3")], ids=["option", "env"])
+    ([], "-3", "FLATCOVER_GUARD must be at least 0, got -3"),
+    # The heuristic has no node guard, but a negative cap is still refused.
+    (["--heuristic", "--guard", "-5"], None, "--guard must be at least 0, got -5"),
+    (["--heuristic"], "-5", "FLATCOVER_GUARD must be at least 0, got -5")],
+    ids=["option", "env", "heuristic-option", "heuristic-env"])
 def test_negative_guard_exits_2(tmp_path, planted_file, capsys, monkeypatch, extra, env,
                                 message):
     if env is not None:

@@ -370,6 +370,32 @@ def test_seed_never_changes_the_answer(d, k, monkeypatch):
             assert sol.flats == unseeded.flats
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_search_memo_is_bit_identical(d, k, monkeypatch):
+    # A block state rebuilt after the memo is cleared must equal the one the
+    # memo kept, bit for bit: with MEMO_LIMIT = 1 the memo is cleared on every
+    # insert, and the leaves, their totals and the node count stay the same.
+    def run(cloud, r, seed):
+        leaves = []
+
+        def leaf(labels, total):
+            leaves.append((tuple(labels), total))
+            return min(t for _, t in leaves)
+
+        nodes = _search(cloud.coords_array(), cloud.weights_array(), k, r, 10**9, leaf, seed)
+        return nodes, leaves
+
+    rng = np.random.default_rng(10 * d + k)
+    cases = [(cloud, r, seed)
+             for cloud in grid_clouds(d, k, rng) for r in range(d)
+             for seed in (None, seed_labels(cloud, k, r))]
+    memoised = [run(*case) for case in cases]
+    monkeypatch.setattr(clustering, "MEMO_LIMIT", 1)
+    for case, expect in zip(cases, memoised):
+        assert run(*case) == expect, case
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e7, 1e8])
 def test_solve_exact_is_translation_invariant(shift):
     # Raw second moments cancel far from the origin; the search runs on
@@ -467,7 +493,7 @@ def test_block_cost_3d_closed_form_matches_eigvalsh():
         w, s, m = block_moments(points, weights)
         tol = 1e-13 * (m[0] + m[3] + m[5])
         for r, cost in enumerate(costs):
-            assert abs(cost(w, s, m) - eigvalsh_cost(w, s, m, r)) <= tol, (r, points)
+            assert abs(cost(w, *s, *m) - eigvalsh_cost(w, s, m, r)) <= tol, (r, points)
 
 
 @pytest.mark.parametrize("d,k,r", [(3, 3, 0), (3, 3, 1), (3, 2, 2), (4, 3, 1), (4, 2, 2)])
