@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Optional, Sequence
 
 from .errors import (
@@ -62,11 +63,15 @@ def verify_cover(cloud: WeightedPointCloud, hyperplanes: Sequence[Hyperplane]) -
     for h in hyperplanes:
         if h.dim != cloud.dim:
             raise DimensionMismatchError("hyperplane dimension differs from cloud")
-    den = cloud.den
-    for pos in cloud.distinct_positions():
-        if not any(h.contains(pos, den) for h in hyperplanes):
-            return False
-    return True
+    planes = scaled_planes(hyperplanes, cloud.den)
+    return all(any(c + sum(map(operator.mul, normal, pos)) == 0 for c, normal in planes)
+               for pos in cloud.distinct_positions())
+
+
+def scaled_planes(hyperplanes: Sequence[Hyperplane], den: int) -> list:
+    """Each plane as (c0*den, normal): the point p/den lies on it exactly when
+    c0*den + normal.p == 0.  Dimensions are the caller's to check."""
+    return [(h.coeffs[0] * den, h.coeffs[1:]) for h in hyperplanes]
 
 
 def solve_cover(cloud: WeightedPointCloud, k: int, *, guard: int | None = None,

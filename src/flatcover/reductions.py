@@ -21,19 +21,23 @@ Everything else is derived from those: a Dominating Set instance's vertex
 groups from d and k', and the gadget's k, budget, theta tables and line and
 frame coordinates from its parameters.  The two builders are the only source
 of an instance: a file is read back by rebuilding it from its graph and
-parameters, so the rebuild is the one check of its records.
+parameters, so the rebuild is the one check of its records.  A gadget keeps
+its records as plain ``((x, y), mult)`` rows: they are written, compared with
+a file and costed as rows, and built into a point cloud only when a caller
+asks for one.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .cover import verify_cover
+from .cover import scaled_planes, verify_cover
 from .errors import GuardLimitError, IntegrityError, ScalarModeError
 from .geometry import (
     MODE_RATIONAL,
@@ -213,12 +217,12 @@ def cover_to_dominating_set(inst: VandermondeInstance,
     """
     if not verify_cover(inst.cloud, planes):
         raise ValueError("the supplied planes do not cover the instance")
-    records, den = inst.cloud.records, inst.cloud.den
+    records = inst.cloud.records
     rows = inst.dim * inst.k  # vertex v owns rows v*d*k'+1 .. (v+1)*d*k'
     result: set[int] = set()
-    for plane in planes:
+    for c, normal in scaled_planes(planes, inst.cloud.den):
         full_groups = [v for v in range(inst.dim)
-                       if all(plane.contains(rec.coords, den)
+                       if all(c + sum(map(operator.mul, normal, rec.coords)) == 0
                               for rec in records[v * rows:(v + 1) * rows])]
         if not full_groups:
             continue
@@ -322,21 +326,30 @@ def gadget_tables(par: RmisParameters) -> GadgetTables:
 class RmisInstance:
     """The gadget's records, its parameters and its source.
 
-    ``cloud`` is None when the gadget is kept counts-only.  ``meta`` holds the
-    colored ``graph``, the relaxed-mode ``warnings``, the builder's
-    ``record_estimate`` and, for a materialized cloud, the ``family_slices``
-    (record ranges of F, X, Z_h, Z_v).  Everything else is a function of
-    ``params``: k = 2*ell+4, the theta tables, the budget B and the gadget's
-    coordinates.
+    ``rows`` holds the records as ``((x, y), mult)`` tuples of integers, and
+    is None when the gadget is kept counts-only.  ``cloud`` is the same
+    records as a point cloud, built from the rows on first use (None when
+    counts-only).  ``meta`` holds the colored ``graph``, the relaxed-mode
+    ``warnings``, the builder's ``record_estimate`` and, for a materialized
+    gadget, the ``family_slices`` (record ranges of F, X, Z_h, Z_v).
+    Everything else is a function of ``params``: k = 2*ell+4, the theta
+    tables, the budget B and the gadget's coordinates.
     """
 
-    cloud: Optional[WeightedPointCloud]
+    rows: Optional[tuple]
     params: RmisParameters
     meta: dict = field(compare=False)
 
     @property
     def materialized(self) -> bool:
-        return self.cloud is not None
+        return self.rows is not None
+
+    @cached_property
+    def cloud(self) -> Optional[WeightedPointCloud]:
+        if self.rows is None:
+            return None
+        return WeightedPointCloud(2, MODE_RATIONAL, tuple(
+            PointRecord(coords, mult) for coords, mult in self.rows))
 
     @property
     def k(self) -> int:
@@ -376,15 +389,6 @@ def rmis_budget(params: RmisParameters, tables: ThetaTables) -> int:
 
 def _paper_constants(n: int) -> dict:
     return {"p": n ** 10, "W": n ** 30, "d_s": n ** 40, "d_l": n ** 90}
-
-
-def _vertex_conflicts(g: ColoredGraph, color_of: dict, u: int, v: int) -> bool:
-    """Conflict: adjacent, or two distinct vertices of the same color."""
-    if u == v:
-        return False
-    if color_of[u] == color_of[v]:
-        return True
-    return tuple(sorted((u, v))) in g.edges
 
 
 def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
@@ -448,73 +452,65 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     n_records_estimate = (k * k + 2 * k) + n * n + 4 * n + 4 * n
     meta = {"graph": g, "warnings": warnings, "record_estimate": n_records_estimate}
     if n_records_estimate > MATERIALIZE_RECORD_LIMIT:
-        return RmisInstance(cloud=None, params=params, meta=meta)
+        return RmisInstance(rows=None, params=params, meta=meta)
 
+    if p < 1:
+        raise ValueError(f"p is the multiplicity of the X records and must be >= 1, got {p}")
     gad = gadget_tables(params)
     phi = build_theta_tables(nu, p, ell).phi
     half, h_y, v_x, s_x = gad.half, gad.h_y, gad.v_x, gad.s_x
 
-    color_of = {}
-    for i, cls in enumerate(g.colors):
-        for v in cls:
-            color_of[v] = i
-
-    records: list[PointRecord] = []
+    rows: list[tuple] = []
     outer = gad.gh_cols[-1]
     corners_h = {(x, y) for x in (-outer, outer) for y in (half, -half)}
     corners_v = {(x, y) for x in (half, -half) for y in (-outer, outer)}
-    f_start = len(records)
+    f_start = len(rows)
     for y in gad.gh_rows:
         for x in gad.gh_cols:
             mult = gad.corner_mult if (x, y) in corners_h else 1
-            records.append(PointRecord((x, y), mult))
+            rows.append(((x, y), mult))
     for y in gad.gv_rows:
         for x in gad.gv_cols:
             mult = gad.corner_mult if (x, y) in corners_v else 1
-            records.append(PointRecord((x, y), mult))
-    f_end = len(records)
+            rows.append(((x, y), mult))
+    f_end = len(rows)
 
-    x_start = len(records)
-    for i in range(1, ell + 1):
-        for j in range(1, nu + 1):
-            u = g.colors[i - 1][j - 1]
-            y = h_y[i - 1][j - 1]
-            for i2 in range(1, ell + 1):
-                for j2 in range(1, nu + 1):
-                    u2 = g.colors[i2 - 1][j2 - 1]
-                    if _vertex_conflicts(g, color_of, u, u2):
-                        x = s_x[i2 - 1][j2 - 1]
-                    else:
-                        x = v_x[i2 - 1][j2 - 1]
-                    records.append(PointRecord((x, y), p))
-    x_end = len(records)
+    # Vertices conflict when adjacent or distinct of one color.  The stack
+    # for (u, u2) sits on u2's conflict line s_x when they conflict and on
+    # its line v_x otherwise.
+    conflicts = {u: (set(cls) | g.neighbors(u)) - {u} for cls in g.colors for u in cls}
+    columns = [(u2, s_x[i2][j2], v_x[i2][j2])
+               for i2, cls in enumerate(g.colors) for j2, u2 in enumerate(cls)]
+    x_start = len(rows)
+    for i, cls in enumerate(g.colors):
+        for j, u in enumerate(cls):
+            y, conflicting = h_y[i][j], conflicts[u]
+            rows.extend(((s if u2 in conflicting else v, y), p) for u2, s, v in columns)
+    x_end = len(rows)
 
-    zh_start = len(records)
+    zh_start = len(rows)
     for i in range(1, ell + 1):
         for j in range(1, nu + 1):
             y = h_y[i - 1][j - 1]
             spots = [-half - 1, -half + 1, half - 1, half + 1]
-            records.extend(PointRecord((x, y), w)
-                           for x, w in _split_spots(W + phi[j - 1], spots))
-    zh_end = len(records)
+            rows.extend(((x, y), w) for x, w in _split_spots(W + phi[j - 1], spots))
+    zh_end = len(rows)
 
-    zv_start = len(records)
+    zv_start = len(rows)
     for i in range(1, ell + 1):
         for j in range(1, nu + 1):
             x = s_x[i - 1][j - 1]
             spots = [half + 1, half - 1, -half + 1, -half - 1]
-            records.extend(PointRecord((x, y), w)
-                           for y, w in _split_spots(W, spots))
-    zv_end = len(records)
+            rows.extend(((x, y), w) for y, w in _split_spots(W, spots))
+    zv_end = len(rows)
 
-    cloud = WeightedPointCloud(2, MODE_RATIONAL, tuple(records))
     meta["family_slices"] = {
         "F": (f_start, f_end),
         "X": (x_start, x_end),
         "Z_h": (zh_start, zh_end),
         "Z_v": (zv_start, zv_end),
     }
-    return RmisInstance(cloud=cloud, params=params, meta=meta)
+    return RmisInstance(rows=tuple(rows), params=params, meta=meta)
 
 
 def _split_spots(total: int, spots: list):
@@ -561,18 +557,21 @@ def exact_cloud_cost(cloud: WeightedPointCloud, lines: Sequence[AxisLine]) -> Fr
         raise ScalarModeError("exact cost requires a rational-mode cloud")
     if cloud.dim != 2:
         raise ValueError("axis-aligned line cost is defined in the plane")
+    return _rows_cost([(rec.coords, rec.mult) for rec in cloud.records], cloud.den, lines)
+
+
+def _rows_cost(rows: Sequence, den: int, lines: Sequence[AxisLine]) -> Fraction:
+    """exact_cloud_cost of planar ((x, y), mult) rows of int numerators over den."""
     if not lines:
         raise ValueError("need at least one line")
-    den = cloud.den
     hs, vs = (sorted(line.c * den for line in lines if line.axis == axis) for axis in "hv")
     # A gadget's records share few distinct coordinates: bisect once for each.
-    h_gap = {y: _nearest_gap(hs, y) for y in {rec.coords[1] for rec in cloud.records}}
-    v_gap = {x: _nearest_gap(vs, x) for x in {rec.coords[0] for rec in cloud.records}}
+    h_gap = {y: _nearest_gap(hs, y) for y in {c[1] for c, _ in rows}}
+    v_gap = {x: _nearest_gap(vs, x) for x in {c[0] for c, _ in rows}}
     total = 0
-    for rec in cloud.records:
-        x, y = rec.coords
-        gap = min(h_gap[y], v_gap[x])
-        total += rec.mult * gap * gap
+    for (x, y), mult in rows:
+        h, v = h_gap[y], v_gap[x]
+        total += mult * h * h if h < v else mult * v * v
     return Fraction(total, den * den)
 
 
@@ -584,10 +583,11 @@ def _nearest_gap(values: list, x: int):
     return min(values[i] - x, x - values[i - 1]) if i else values[i] - x
 
 
-def exact_solution_cost(inst: RmisInstance, lines: Sequence[AxisLine]):
+def exact_solution_cost(inst: RmisInstance, lines: Sequence[AxisLine]) -> Fraction:
+    """exact_cloud_cost of the gadget's records, summed over its rows."""
     if not inst.materialized:
         raise ValueError("instance was built counts-only; re-generate materialized")
-    return exact_cloud_cost(inst.cloud, lines)
+    return _rows_cost(inst.rows, 1, lines)
 
 
 def desanitize_multiset(inst: RmisInstance):

@@ -1,9 +1,9 @@
 import argparse
 import copy
-import dataclasses
 import functools
 import inspect
 import json
+import operator
 import os
 import re
 import subprocess
@@ -469,6 +469,8 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
     (["gen", "planted", "-n", "0", "-o", "{out}"], "need at least one point, got n = 0"),
     (["cover", "{space_cloud}", "-k", "1", "--kernel", "-o", "{out}"],
      "kernel requires d = 2"),
+    (["reduce-rmis", "{rmis_graph}", "--override", "p=0", "-o", "{out}"],
+     "must be >= 1, got 0"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "ds-cover-above-k", "plot-witness",
         "plot-fit-result", "plot-solution-list", "plot-nested-basis", "planted-k-zero",
@@ -476,12 +478,13 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
         "random-dim-zero", "random-exact-dim-zero", "random-max-mult-zero",
         "cloud-dim-negative", "cover-dim-zero", "random-dim-negative",
         "random-exact-dim-negative", "random-n-zero", "random-exact-n-zero",
-        "planted-n-zero", "cover-kernel-3d"])
+        "planted-n-zero", "cover-kernel-3d", "rmis-p-zero"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
             "ds_inst": cases["verify-ds"][1]["inst"],
             "rmis_inst": cases["verify-rmis"][1]["inst"],
+            "rmis_graph": cases["reduce-rmis"][1]["graph"],
             "selection": {"kind": "selection", "indices": [1, 2]},
             "cover": {"kind": "cover", "hyperplanes": [["0", "1", "0"]]},
             "dominating_set": {"kind": "dominating_set", "vertices": [0]},
@@ -869,18 +872,19 @@ def test_verify_refuses_records_moved_off_derived_lines(tmp_path, capsys):
     # verify rebuilds the instance, so records moved off the lines the
     # parameters fix are refused, while the builder's records reach a verdict.
     inst = rmis_to_line_clustering(matching_color_graph(2, 4))
-    records = inst.cloud.records
-    bundle_1 = set(inst.gadget.h_y[0])
-    shifted = [PointRecord((x, y + 1), r.mult) if y in bundle_1 else r
-               for r in records for x, y in [r.coords]]
-    x_start = inst.meta["family_slices"]["X"][0]
-    stray = list(records)
-    stray[x_start] = PointRecord((1, records[x_start].coords[1]), records[x_start].mult)
     argv, docs = reduction_cases()["verify-rmis"]
-    for recs, moved_off in ((records, False), (shifted, True), (stray, True)):
-        moved = dataclasses.replace(
-            inst, cloud=dataclasses.replace(inst.cloud, records=tuple(recs)))
-        doc = json.loads(fio.dumps_canonical(fio.rmis_instance_to_obj(moved)))
+    written = docs["inst"]
+    bundle_1 = {str(y) for y in inst.gadget.h_y[0]}
+    shifted = copy.deepcopy(written)
+    for point in shifted["cloud"]["points"]:
+        x, y = point["coords"]
+        if y in bundle_1:
+            point["coords"] = [x, str(int(y) + 1)]
+    assert shifted != written
+    x_start = inst.meta["family_slices"]["X"][0]
+    assert written["cloud"]["points"][x_start]["coords"][0] != "1"
+    stray = replaced(written, ("cloud", "points", x_start, "coords", 0), "1")
+    for doc, moved_off in ((written, False), (shifted, True), (stray, True)):
         code = run_reduction_case(str(tmp_path), argv, dict(docs, inst=doc))
         if moved_off:
             assert code == 2
@@ -963,22 +967,51 @@ def test_verify_rebuilds_ds_files(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["verify-ds", "verify-rmis"])
-@pytest.mark.parametrize("field,value", [("mult", True), ("mult", float), ("dim", float)],
-                         ids=["mult-true", "mult-float", "dim-float"])
-def test_verify_compares_cloud_numbers_by_json_type(tmp_path, capsys, case, field, value):
-    # true == 1 and 1.0 == 1 in Python, but neither is what the writer writes.
+@pytest.mark.parametrize("node,retyped", [
+    ("mult", lambda m: True), ("mult", float), ("dim", float),
+    ("coord", int), ("coord", lambda c: "+" + c), ("coord", lambda c: "0" + c),
+    ("point", lambda p: [p["coords"], p["mult"]])],
+    ids=["mult-true", "mult-float", "dim-float", "coord-int", "coord-plus", "coord-zero",
+         "point-list"])
+def test_verify_compares_cloud_numbers_by_json_type(tmp_path, capsys, case, node, retyped):
+    # true == 1 and 1.0 == 1 in Python, and 5, "+5" and "05" read as the
+    # value "5", but none of them is what the writer writes; nor is a point
+    # given as a list.
     argv, docs = reduction_cases()[case]
-    cloud = docs["inst"]["cloud"]
-    if field == "dim":
-        path, old = ("cloud", "dim"), cloud["dim"]
-    else:
-        i = next(i for i, pt in enumerate(cloud["points"]) if pt["mult"] == 1)
-        path, old = ("cloud", "points", i, "mult"), 1
-    new = True if value is True else value(old)
-    assert new == old and type(new) is not type(old)
+    points = docs["inst"]["cloud"]["points"]
+    i = next(i for i, pt in enumerate(points)
+             if pt["mult"] == 1 and pt["coords"][0].isdigit())
+    path = {"dim": ("cloud", "dim"), "mult": ("cloud", "points", i, "mult"),
+            "coord": ("cloud", "points", i, "coords", 0),
+            "point": ("cloud", "points", i)}[node]
+    old = functools.reduce(operator.getitem, path, docs["inst"])
+    new = retyped(old)
+    assert json.dumps(new) != json.dumps(old)
     inst = replaced(docs["inst"], path, new)
     assert run_reduction_case(str(tmp_path), argv, dict(docs, inst=inst)) == 2
     assert "cloud differs" in assert_usage_error(capsys)
+
+
+def test_rmis_commands_build_no_point_records(tmp_path, capsys, monkeypatch):
+    # reduce-rmis writes the gadget from its rows, and verify compares and
+    # costs the rebuilt rows: neither builds a PointRecord.
+    built = []
+    init = PointRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PointRecord, "__init__", counting_init)
+    gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
+    gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8))))
+    assert run(["reduce-rmis", str(gpath), "-o", str(ipath)]) == 0
+    for indices, code, cost in (((4, 5), 0, COST_4_5), ((4, 4), 1, COST_4_4)):
+        assert verify_rmis(tmp_path, read_json(ipath), indices) == code
+        assert capsys.readouterr().out.startswith(cost)
+    assert built == []
+    # The counter does see the records of a cloud built on demand.
+    assert len(rmis_to_line_clustering(matching_color_graph(2, 4)).cloud.records) == len(built)
 
 
 def test_rmis_graph_must_be_regular(tmp_path, capsys):

@@ -297,6 +297,26 @@ def test_selected_lines_hit_expected_weights():
         assert w == n * p
 
 
+@pytest.mark.parametrize("nu,constants", [
+    (4, None), (8, None), (8, {"p": 1000, "W": 10**7, "d_s": 10**5, "d_l": 10**6}),
+    (8000, None)], ids=["nu4", "nu8", "nu8-override", "nu8000-counts-only"])
+def test_gadget_rows_write_and_cost_as_its_cloud(nu, constants):
+    # The gadget is written and costed from its rows; the cloud built from
+    # them on demand holds the same records, writes the same text and costs
+    # the same for every selection.
+    inst = rmis_to_line_clustering(matching_color_graph(2, nu), constants=constants)
+    cloud = inst.cloud
+    assert (fio.dumps_canonical(fio.rmis_instance_to_obj(inst)["cloud"])
+            == fio.dumps_canonical(cloud and fio.cloud_to_obj(cloud)))
+    if cloud is None:
+        assert inst.rows is None and not inst.materialized
+        return
+    assert [(r.coords, r.mult) for r in cloud.records] == list(inst.rows)
+    for selection in itertools.product(range(1, nu + 1), repeat=2):
+        lines = independent_set_to_lines(inst, selection)
+        assert exact_solution_cost(inst, lines) == exact_cloud_cost(cloud, lines)
+
+
 def test_budget_separates_independent_from_conflicting():
     # Paper constants, ell=2, nu=4: the conflict penalty of p per ordered
     # conflicting pair dwarfs every frame-grid term.
