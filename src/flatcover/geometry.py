@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,24 +84,24 @@ def parse_scalar(text, mode: str):
     raise ValueError(f"unknown scalar mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """One position with an integer multiplicity (compact multiset entry)."""
+class PointRecord(NamedTuple):
+    """One position with an integer multiplicity (compact multiset entry).
+
+    A named ``(coords, mult)`` tuple whose ``coords`` is itself a tuple.
+    Building one checks nothing: the :class:`WeightedPointCloud` that holds
+    it checks both fields."""
 
     coords: tuple
     mult: int = 1
-
-    def __post_init__(self):
-        if self.mult < 1:
-            raise ValueError(f"multiplicity must be >= 1, got {self.mult}")
-        object.__setattr__(self, "coords", tuple(self.coords))
 
 
 @dataclass(frozen=True)
 class WeightedPointCloud:
     """d-dimensional points with multiplicities, in a single scalar regime.
 
-    Rational records may come with int or Fraction coordinates over any ``den``."""
+    The cloud checks each :class:`PointRecord` it is given: a tuple of
+    ``dim`` coordinates and a multiplicity of at least 1.  Rational records
+    may come with int or Fraction coordinates over any ``den``."""
 
     dim: int
     mode: str
@@ -114,11 +114,15 @@ class WeightedPointCloud:
         if self.dim < 1:
             raise ValueError(f"cloud dimension must be at least 1, got {self.dim}")
         recs = tuple(self.records)
-        for rec in recs:
-            if len(rec.coords) != self.dim:
+        for coords, mult in recs:
+            if type(coords) is not tuple:
+                raise TypeError(f"record coordinates must be a tuple, got {coords!r:.40}")
+            if len(coords) != self.dim:
                 raise DimensionMismatchError(
-                    f"record of length {len(rec.coords)} in a dim-{self.dim} cloud"
+                    f"record of length {len(coords)} in a dim-{self.dim} cloud"
                 )
+            if mult < 1:
+                raise ValueError(f"multiplicity must be >= 1, got {mult}")
         den = self.den
         if self.mode == MODE_FLOAT and den != 1:
             raise ValueError(f"a float cloud has den 1, got {den!r:.40}")

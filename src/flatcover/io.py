@@ -103,47 +103,43 @@ def _pair(values, what: str) -> tuple:
 # point clouds
 
 
-def _rows(cloud: WeightedPointCloud) -> list:
-    """A cloud's records as (coords, mult) rows."""
-    return [(r.coords, r.mult) for r in cloud.records]
+def _point_objs(cloud: WeightedPointCloud):
+    """The written points of a cloud's records, one at a time.
 
-
-def _point_objs(rows, mode: str, den: int):
-    """The written points of (coords, mult) rows, one at a time.
-
-    Rational numerators are written over den as "num/den" text, each distinct
-    value converted once: a gadget's records share few coordinates, and its
-    numbers run to hundreds of digits.  Floats are not memoised, since 0.0
-    and -0.0 would share a key.
+    Rational numerators are written over the cloud's den as "num/den" text,
+    each distinct value converted once: a gadget's records share few
+    coordinates, and its numbers run to hundreds of digits.  Floats are not
+    memoised, since 0.0 and -0.0 would share a key.
     """
-    text = (float if mode == MODE_FLOAT else
+    den = cloud.den
+    text = (float if cloud.mode == MODE_FLOAT else
             functools.cache(str if den == 1 else lambda c: str(Fraction(c, den))))
-    return ({"coords": list(map(text, coords)), "mult": mult} for coords, mult in rows)
+    return ({"coords": list(map(text, coords)), "mult": mult}
+            for coords, mult in cloud.records)
 
 
 def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
-    return {"dim": cloud.dim, "scalar": cloud.mode,
-            "points": list(_point_objs(_rows(cloud), cloud.mode, cloud.den))}
+    return {"dim": cloud.dim, "scalar": cloud.mode, "points": list(_point_objs(cloud))}
 
 
-def _is_written_form(obj, dim: int, den: int, rows) -> bool:
+def _is_written_form(obj, cloud: WeightedPointCloud | None) -> bool:
     """Whether obj is the JSON value the writer writes for a rational cloud
-    given as (coords, mult) rows over den (null for rows None), compared a
-    point at a time so that the written form is never held whole.  Python's
-    == also takes true for 1 and 2.0 for 2; the only numbers in the written
-    form are dim and the multiplicities (the coordinates are text), so those
-    must be JSON integers as well.  Each point is compared before its mult is
-    looked up, so a point that is not an object just differs."""
-    if rows is None:
+    (null for None), compared a point at a time so that the written form is
+    never held whole.  Python's == also takes true for 1 and 2.0 for 2; the
+    only numbers in the written form are dim and the multiplicities (the
+    coordinates are text), so those must be JSON integers as well.  Each
+    point is compared before its mult is looked up, so a point that is not
+    an object just differs."""
+    if cloud is None:
         return obj is None
     if not (isinstance(obj, dict) and obj.keys() == {"dim", "scalar", "points"}):
         return False
     points = obj["points"]
-    return (type(obj["dim"]) is int and obj["dim"] == dim
-            and obj["scalar"] == MODE_RATIONAL
-            and isinstance(points, list) and len(points) == len(rows)
+    return (type(obj["dim"]) is int and obj["dim"] == cloud.dim
+            and obj["scalar"] == cloud.mode
+            and isinstance(points, list) and len(points) == len(cloud.records)
             and all(p == q and type(p["mult"]) is int
-                    for p, q in zip(points, _point_objs(rows, MODE_RATIONAL, den))))
+                    for p, q in zip(points, _point_objs(cloud))))
 
 
 def _parse_mult(value) -> int:
@@ -310,10 +306,7 @@ def rmis_instance_to_obj(inst: RmisInstance) -> dict:
         "B": str(inst.B),
         "params": {"p": str(par.p), "W": str(par.W), "d_s": str(par.d_s),
                    "d_l": str(par.d_l), "faithful": par.faithful},
-        # The gadget is planar, with integer coordinates.
-        "cloud": {"dim": 2, "scalar": MODE_RATIONAL,
-                  "points": list(_point_objs(inst.rows, MODE_RATIONAL, 1))}
-                 if inst.materialized else None,
+        "cloud": cloud_to_obj(inst.cloud) if inst.materialized else None,
         "meta": {"graph": graph_to_obj(inst.meta["graph"]),
                  "warnings": list(inst.meta["warnings"])},
     }
@@ -338,7 +331,6 @@ def instance_from_obj(data: dict):
     if kind == "ds_cover":
         inst = ds_to_hyperplane_cover(graph_from_obj(data["graph"]),
                                       parse_int(data["k"], "k"), allow_trivial=True)
-        dim, den, rows = inst.dim, inst.cloud.den, _rows(inst.cloud)
         source = "graph and k"
     elif kind == "rmis":
         par = _object(data["params"], "params")
@@ -349,12 +341,11 @@ def instance_from_obj(data: dict):
             name: parse_int(par[name], name) for name in ("p", "W", "d_s", "d_l")}
         graph = graph_from_obj(_object(data["meta"], "meta")["graph"])
         inst = rmis_to_line_clustering(graph, faithful, constants=constants)
-        dim, den, rows = 2, 1, inst.rows
         source = "graph and params"
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
-    if not _is_written_form(data["cloud"], dim, den, rows):
-        counts_only = ("" if rows is not None else
+    if not _is_written_form(data["cloud"], inst.cloud):
+        counts_only = ("" if inst.cloud is not None else
                        f" (null: more than {MATERIALIZE_RECORD_LIMIT} records are only "
                        "kept counts-only)")
         raise ValueError(f"the instance's cloud differs from the one its {source} "

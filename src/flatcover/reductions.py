@@ -21,10 +21,9 @@ Everything else is derived from those: a Dominating Set instance's vertex
 groups from d and k', and the gadget's k, budget, theta tables and line and
 frame coordinates from its parameters.  The two builders are the only source
 of an instance: a file is read back by rebuilding it from its graph and
-parameters, so the rebuild is the one check of its records.  A gadget keeps
-its records as plain ``((x, y), mult)`` rows: they are written, compared with
-a file and costed as rows, and built into a point cloud only when a caller
-asks for one.
+parameters, so the rebuild is the one check of its records.  Both builders
+hold their records in one point cloud, which is written, compared with a
+file and costed as it is.
 """
 
 from __future__ import annotations
@@ -326,30 +325,22 @@ def gadget_tables(par: RmisParameters) -> GadgetTables:
 class RmisInstance:
     """The gadget's records, its parameters and its source.
 
-    ``rows`` holds the records as ``((x, y), mult)`` tuples of integers, and
-    is None when the gadget is kept counts-only.  ``cloud`` is the same
-    records as a point cloud, built from the rows on first use (None when
-    counts-only).  ``meta`` holds the colored ``graph``, the relaxed-mode
-    ``warnings``, the builder's ``record_estimate`` and, for a materialized
-    gadget, the ``family_slices`` (record ranges of F, X, Z_h, Z_v).
-    Everything else is a function of ``params``: k = 2*ell+4, the theta
-    tables, the budget B and the gadget's coordinates.
+    ``cloud`` holds the records, planar with integer coordinates, and is
+    None when the gadget is kept counts-only.  ``meta`` holds the colored
+    ``graph``, the relaxed-mode ``warnings``, the builder's
+    ``record_estimate`` and, for a materialized gadget, the
+    ``family_slices`` (record ranges of F, X, Z_h, Z_v).  Everything else is
+    a function of ``params``: k = 2*ell+4, the theta tables, the budget B and
+    the gadget's coordinates.
     """
 
-    rows: Optional[tuple]
+    cloud: Optional[WeightedPointCloud]
     params: RmisParameters
     meta: dict = field(compare=False)
 
     @property
     def materialized(self) -> bool:
-        return self.rows is not None
-
-    @cached_property
-    def cloud(self) -> Optional[WeightedPointCloud]:
-        if self.rows is None:
-            return None
-        return WeightedPointCloud(2, MODE_RATIONAL, tuple(
-            PointRecord(coords, mult) for coords, mult in self.rows))
+        return self.cloud is not None
 
     @property
     def k(self) -> int:
@@ -445,6 +436,10 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
         raise ValueError("(ell+1)*d_s must be even to center the frame on integers")
     if d_s <= 10 * n * n * nu + 3 * nu + 4:
         raise ValueError("d_s too small: line bundles would overlap the frame")
+    if p < 1:
+        raise ValueError(f"p is the multiplicity of the X records and must be >= 1, got {p}")
+    if W < 1:
+        raise ValueError(f"W is the least weight of a Z stack and must be >= 1, got {W}")
 
     params = RmisParameters(ell=ell, nu=nu, n=n, q=q, p=p, W=W, d_s=d_s, d_l=d_l,
                             faithful=faithful)
@@ -452,28 +447,26 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     n_records_estimate = (k * k + 2 * k) + n * n + 4 * n + 4 * n
     meta = {"graph": g, "warnings": warnings, "record_estimate": n_records_estimate}
     if n_records_estimate > MATERIALIZE_RECORD_LIMIT:
-        return RmisInstance(rows=None, params=params, meta=meta)
+        return RmisInstance(cloud=None, params=params, meta=meta)
 
-    if p < 1:
-        raise ValueError(f"p is the multiplicity of the X records and must be >= 1, got {p}")
     gad = gadget_tables(params)
     phi = build_theta_tables(nu, p, ell).phi
     half, h_y, v_x, s_x = gad.half, gad.h_y, gad.v_x, gad.s_x
 
-    rows: list[tuple] = []
+    records: list[PointRecord] = []
     outer = gad.gh_cols[-1]
     corners_h = {(x, y) for x in (-outer, outer) for y in (half, -half)}
     corners_v = {(x, y) for x in (half, -half) for y in (-outer, outer)}
-    f_start = len(rows)
+    f_start = len(records)
     for y in gad.gh_rows:
         for x in gad.gh_cols:
             mult = gad.corner_mult if (x, y) in corners_h else 1
-            rows.append(((x, y), mult))
+            records.append(PointRecord((x, y), mult))
     for y in gad.gv_rows:
         for x in gad.gv_cols:
             mult = gad.corner_mult if (x, y) in corners_v else 1
-            rows.append(((x, y), mult))
-    f_end = len(rows)
+            records.append(PointRecord((x, y), mult))
+    f_end = len(records)
 
     # Vertices conflict when adjacent or distinct of one color.  The stack
     # for (u, u2) sits on u2's conflict line s_x when they conflict and on
@@ -481,28 +474,30 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     conflicts = {u: (set(cls) | g.neighbors(u)) - {u} for cls in g.colors for u in cls}
     columns = [(u2, s_x[i2][j2], v_x[i2][j2])
                for i2, cls in enumerate(g.colors) for j2, u2 in enumerate(cls)]
-    x_start = len(rows)
+    x_start = len(records)
     for i, cls in enumerate(g.colors):
         for j, u in enumerate(cls):
             y, conflicting = h_y[i][j], conflicts[u]
-            rows.extend(((s if u2 in conflicting else v, y), p) for u2, s, v in columns)
-    x_end = len(rows)
+            records.extend(PointRecord((s if u2 in conflicting else v, y), p)
+                           for u2, s, v in columns)
+    x_end = len(records)
 
-    zh_start = len(rows)
+    zh_start = len(records)
     for i in range(1, ell + 1):
         for j in range(1, nu + 1):
             y = h_y[i - 1][j - 1]
             spots = [-half - 1, -half + 1, half - 1, half + 1]
-            rows.extend(((x, y), w) for x, w in _split_spots(W + phi[j - 1], spots))
-    zh_end = len(rows)
+            records.extend(PointRecord((x, y), w)
+                           for x, w in _split_spots(W + phi[j - 1], spots))
+    zh_end = len(records)
 
-    zv_start = len(rows)
+    zv_start = len(records)
     for i in range(1, ell + 1):
         for j in range(1, nu + 1):
             x = s_x[i - 1][j - 1]
             spots = [half + 1, half - 1, -half + 1, -half - 1]
-            rows.extend(((x, y), w) for y, w in _split_spots(W, spots))
-    zv_end = len(rows)
+            records.extend(PointRecord((x, y), w) for y, w in _split_spots(W, spots))
+    zv_end = len(records)
 
     meta["family_slices"] = {
         "F": (f_start, f_end),
@@ -510,7 +505,8 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
         "Z_h": (zh_start, zh_end),
         "Z_v": (zv_start, zv_end),
     }
-    return RmisInstance(rows=tuple(rows), params=params, meta=meta)
+    cloud = WeightedPointCloud(2, MODE_RATIONAL, tuple(records))
+    return RmisInstance(cloud=cloud, params=params, meta=meta)
 
 
 def _split_spots(total: int, spots: list):
@@ -557,19 +553,15 @@ def exact_cloud_cost(cloud: WeightedPointCloud, lines: Sequence[AxisLine]) -> Fr
         raise ScalarModeError("exact cost requires a rational-mode cloud")
     if cloud.dim != 2:
         raise ValueError("axis-aligned line cost is defined in the plane")
-    return _rows_cost([(rec.coords, rec.mult) for rec in cloud.records], cloud.den, lines)
-
-
-def _rows_cost(rows: Sequence, den: int, lines: Sequence[AxisLine]) -> Fraction:
-    """exact_cloud_cost of planar ((x, y), mult) rows of int numerators over den."""
     if not lines:
         raise ValueError("need at least one line")
+    den, records = cloud.den, cloud.records
     hs, vs = (sorted(line.c * den for line in lines if line.axis == axis) for axis in "hv")
     # A gadget's records share few distinct coordinates: bisect once for each.
-    h_gap = {y: _nearest_gap(hs, y) for y in {c[1] for c, _ in rows}}
-    v_gap = {x: _nearest_gap(vs, x) for x in {c[0] for c, _ in rows}}
+    h_gap = {y: _nearest_gap(hs, y) for y in {c[1] for c, _ in records}}
+    v_gap = {x: _nearest_gap(vs, x) for x in {c[0] for c, _ in records}}
     total = 0
-    for (x, y), mult in rows:
+    for (x, y), mult in records:
         h, v = h_gap[y], v_gap[x]
         total += mult * h * h if h < v else mult * v * v
     return Fraction(total, den * den)
@@ -584,10 +576,10 @@ def _nearest_gap(values: list, x: int):
 
 
 def exact_solution_cost(inst: RmisInstance, lines: Sequence[AxisLine]) -> Fraction:
-    """exact_cloud_cost of the gadget's records, summed over its rows."""
+    """exact_cloud_cost of the gadget's records."""
     if not inst.materialized:
         raise ValueError("instance was built counts-only; re-generate materialized")
-    return _rows_cost(inst.rows, 1, lines)
+    return exact_cloud_cost(inst.cloud, lines)
 
 
 def desanitize_multiset(inst: RmisInstance):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from flatcover.cli import build_parser, main
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph
-from flatcover.geometry import PointRecord
+from flatcover.geometry import WeightedPointCloud
 from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
 from oracles import path_graph
 
@@ -471,6 +471,10 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
      "kernel requires d = 2"),
     (["reduce-rmis", "{rmis_graph}", "--override", "p=0", "-o", "{out}"],
      "must be >= 1, got 0"),
+    (["reduce-rmis", "{rmis_graph}", "--override", "W=-5", "-o", "{out}"],
+     "W is the least weight of a Z stack and must be >= 1, got -5"),
+    (["reduce-rmis", "{rmis_graph}", "--override", "W=0", "-o", "{out}"],
+     "W is the least weight of a Z stack and must be >= 1, got 0"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "ds-cover-above-k", "plot-witness",
         "plot-fit-result", "plot-solution-list", "plot-nested-basis", "planted-k-zero",
@@ -478,7 +482,8 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
         "random-dim-zero", "random-exact-dim-zero", "random-max-mult-zero",
         "cloud-dim-negative", "cover-dim-zero", "random-dim-negative",
         "random-exact-dim-negative", "random-n-zero", "random-exact-n-zero",
-        "planted-n-zero", "cover-kernel-3d", "rmis-p-zero"])
+        "planted-n-zero", "cover-kernel-3d", "rmis-p-zero", "rmis-W-negative",
+        "rmis-W-zero"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
@@ -992,26 +997,27 @@ def test_verify_compares_cloud_numbers_by_json_type(tmp_path, capsys, case, node
     assert "cloud differs" in assert_usage_error(capsys)
 
 
-def test_rmis_commands_build_no_point_records(tmp_path, capsys, monkeypatch):
-    # reduce-rmis writes the gadget from its rows, and verify compares and
-    # costs the rebuilt rows: neither builds a PointRecord.
+def test_rmis_commands_build_one_cloud_each(tmp_path, capsys, monkeypatch):
+    # reduce-rmis builds the gadget's records into one cloud and writes it;
+    # verify rebuilds that one cloud, compares it with the file and costs it.
     built = []
-    init = PointRecord.__init__
+    post_init = WeightedPointCloud.__post_init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
+    def counting_post_init(self):
+        built.append(len(self.records))
+        post_init(self)
 
-    monkeypatch.setattr(PointRecord, "__init__", counting_init)
-    gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
+    monkeypatch.setattr(WeightedPointCloud, "__post_init__", counting_post_init)
+    gpath, ipath, wpath = (tmp_path / name for name in ("graph.json", "inst.json", "w.json"))
     gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8))))
     assert run(["reduce-rmis", str(gpath), "-o", str(ipath)]) == 0
+    assert built == [464]
     for indices, code, cost in (((4, 5), 0, COST_4_5), ((4, 4), 1, COST_4_4)):
-        assert verify_rmis(tmp_path, read_json(ipath), indices) == code
+        built.clear()
+        wpath.write_text(json.dumps({"kind": "selection", "indices": list(indices)}))
+        assert run(["verify", str(ipath), str(wpath)]) == code
         assert capsys.readouterr().out.startswith(cost)
-    assert built == []
-    # The counter does see the records of a cloud built on demand.
-    assert len(rmis_to_line_clustering(matching_color_graph(2, 4)).cloud.records) == len(built)
+        assert built == [464]
 
 
 def test_rmis_graph_must_be_regular(tmp_path, capsys):

@@ -20,8 +20,26 @@ from flatcover.geometry import (
     parse_scalar,
     total_cost,
 )
-from flatcover.reductions import AxisLine, exact_cloud_cost
-from oracles import canonicalize_flat, dist2_point_flat, fraction_cloud_cost, fraction_covers
+from flatcover.generators import (
+    matching_color_graph,
+    planted_lines_cloud,
+    random_cloud,
+    random_exact_cloud,
+)
+from flatcover.reductions import (
+    AxisLine,
+    desanitize_multiset,
+    ds_to_hyperplane_cover,
+    exact_cloud_cost,
+    rmis_to_line_clustering,
+)
+from oracles import (
+    canonicalize_flat,
+    dist2_point_flat,
+    fraction_cloud_cost,
+    fraction_covers,
+    path_graph,
+)
 
 
 def dist2_point_complement_form(x, comp, p, tol=1e-9):
@@ -235,10 +253,40 @@ def test_scalar_roundtrip():
 def test_cloud_total_weight_and_validation():
     cloud = make_cloud([(0.0, 0.0), (1.0, 2.0)], mults=[3, 2])
     assert cloud.total_weight == 5
-    with pytest.raises(ValueError):
-        PointRecord((1.0,), 0)
+    # A record checks nothing itself; the cloud that holds it does.
+    for mult in (0, -1):
+        with pytest.raises(ValueError, match="multiplicity must be >= 1"):
+            WeightedPointCloud(1, MODE_FLOAT, (PointRecord((1.0,), mult),))
     with pytest.raises(DimensionMismatchError):
         WeightedPointCloud(2, MODE_FLOAT, (PointRecord((1.0,), 1),))
+    # Positions are hashed (distinct_positions), so a list is refused.
+    with pytest.raises(TypeError, match="must be a tuple"):
+        WeightedPointCloud(2, MODE_RATIONAL, (PointRecord([1, 2]),))
+
+
+@pytest.mark.parametrize("source", [
+    lambda: WeightedPointCloud.create([(0.5, 1.0), (2.0, 3.0)], MODE_FLOAT, [1, 4]),
+    lambda: fio.cloud_from_obj({"dim": 2, "scalar": "rational",
+                                "points": [{"coords": ["1/2", "3"], "mult": 2}]}),
+    lambda: fio.cloud_from_csv("1.0,2.0,3\n4.5,-1.0,1\n", has_mult=True),
+    lambda: planted_lines_cloud(9, 3, 0.1, 0)[0],
+    lambda: random_cloud(6, 3, 0, max_mult=3),
+    lambda: random_exact_cloud(6, 2, 0),
+    lambda: ds_to_hyperplane_cover(path_graph(3), 2, allow_trivial=True).cloud,
+    lambda: rmis_to_line_clustering(matching_color_graph(2, 4)).cloud,
+    lambda: desanitize_multiset(rmis_to_line_clustering(
+        matching_color_graph(2, 4), constants={"p": 2, "W": 8, "d_s": 3200, "d_l": 1000}))[0],
+    lambda: WeightedPointCloud(2, MODE_RATIONAL,
+                               (PointRecord((Fraction(1, 2), 3)), PointRecord((1, 0), 2))),
+], ids=["create", "cloud_from_obj", "cloud_from_csv", "planted", "random", "random-exact",
+        "ds_to_hyperplane_cover", "rmis_to_line_clustering", "desanitize_multiset",
+        "lowest-terms"])
+def test_every_cloud_source_yields_point_records(source):
+    # PointRecord is the one record type, and its coords are a tuple.
+    cloud = source()
+    assert cloud.records
+    assert all(type(rec) is PointRecord and type(rec.coords) is tuple
+               for rec in cloud.records)
 
 
 @pytest.mark.parametrize("text", ["2.5", "1e3", "1e10000000", " 1", "1 ", "1_000", "+-1",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -262,6 +263,14 @@ def test_relaxed_graph_validation():
         rmis_to_line_clustering(colorless)
 
 
+@pytest.mark.parametrize("name,value", [("p", 0), ("W", 0), ("W", -5)])
+def test_counts_only_gadget_refuses_stack_weights_below_one(name, value):
+    # The budget counts X stacks of weight p and Z stacks of at least W, so
+    # both are refused below 1 even when no record is built.
+    with pytest.raises(ValueError, match=f"{name} is .* must be >= 1, got {value}"):
+        rmis_to_line_clustering(matching_color_graph(2, 8000), constants={name: value})
+
+
 def test_independent_selection_meets_budget():
     # Paper constants, ell=2, nu=8: near-center independent selections fit
     # under the budget; the wider sweep lives in the acceptance suite.
@@ -297,24 +306,30 @@ def test_selected_lines_hit_expected_weights():
         assert w == n * p
 
 
+# sha256 of the nu = 8 matching-graph gadget's written cloud text: how the
+# gadget is built and written may change, but not these bytes.
+NU8_CLOUD_SHA256 = "ce3a39c2df47eb160aeab1fa7b12e8ecffecd88a55e346205cf2c9c246345976"
+
+
 @pytest.mark.parametrize("nu,constants", [
     (4, None), (8, None), (8, {"p": 1000, "W": 10**7, "d_s": 10**5, "d_l": 10**6}),
     (8000, None)], ids=["nu4", "nu8", "nu8-override", "nu8000-counts-only"])
 def test_gadget_rows_write_and_cost_as_its_cloud(nu, constants):
-    # The gadget is written and costed from its rows; the cloud built from
-    # them on demand holds the same records, writes the same text and costs
-    # the same for every selection.
+    # The file holds the gadget's cloud (null when counts-only), and its
+    # exact cost matches the brute-force oracle for every selection.
     inst = rmis_to_line_clustering(matching_color_graph(2, nu), constants=constants)
-    cloud = inst.cloud
-    assert (fio.dumps_canonical(fio.rmis_instance_to_obj(inst)["cloud"])
-            == fio.dumps_canonical(cloud and fio.cloud_to_obj(cloud)))
-    if cloud is None:
-        assert inst.rows is None and not inst.materialized
+    written = fio.rmis_instance_to_obj(inst)["cloud"]
+    if inst.cloud is None:
+        assert written is None and not inst.materialized
+        with pytest.raises(ValueError, match="counts-only"):
+            exact_solution_cost(inst, independent_set_to_lines(inst, (1, 2)))
         return
-    assert [(r.coords, r.mult) for r in cloud.records] == list(inst.rows)
+    if nu == 8 and constants is None:
+        text = fio.dumps_canonical(written).encode()
+        assert hashlib.sha256(text).hexdigest() == NU8_CLOUD_SHA256
     for selection in itertools.product(range(1, nu + 1), repeat=2):
         lines = independent_set_to_lines(inst, selection)
-        assert exact_solution_cost(inst, lines) == exact_cloud_cost(cloud, lines)
+        assert exact_solution_cost(inst, lines) == fraction_cloud_cost(inst.cloud, lines)
 
 
 def test_budget_separates_independent_from_conflicting():
