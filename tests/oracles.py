@@ -87,6 +87,49 @@ def cover_oracle(cloud, k):
     return False
 
 
+def slot_search_oracle(pts, den, k):
+    """The cover slot search with no cut, bound or node guard: at most k
+    hyperplanes through the distinct integer points, or None.
+
+    The same depth-first order as ``cover._solve_partition``, so it returns
+    the first cover that search reaches; cuts that drop only subtrees
+    holding no cover must leave that cover unchanged.
+    """
+    if k == 0:
+        return None
+    n, d = len(pts), len(pts[0])
+
+    def search(i, slots):
+        while True:
+            if i == n:
+                return slots
+            x = pts[i]
+            residuals = []
+            for base, rows, reps in slots:
+                v = reduce_row([a - b for a, b in zip(x, pts[base])], rows)
+                if not any(v):
+                    break
+                residuals.append(v)
+            else:
+                break
+            i += 1
+        for j, (base, rows, reps) in enumerate(slots):
+            if len(rows) < d - 1:
+                new_slot = (base, rows + (echelon_row(residuals[j]),), reps + (i,))
+                result = search(i + 1, slots[:j] + (new_slot,) + slots[j + 1:])
+                if result is not None:
+                    return result
+        if len(slots) < k:
+            return search(i + 1, slots + ((i, (), ()),))
+        return None
+
+    final = search(1, ((0, (), ()),))
+    if final is None:
+        return None
+    return [fit_hyperplane_exact([pts[base]] + [pts[i] for i in reps], den)
+            for base, rows, reps in final]
+
+
 def fraction_positions(cloud):
     """A rational cloud's distinct positions as tuples of Fractions."""
     return [tuple(Fraction(c, cloud.den) for c in p) for p in cloud.distinct_positions()]

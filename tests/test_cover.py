@@ -12,7 +12,14 @@ from flatcover.cover import forced_line_kernel, solve_cover, verify_cover
 from flatcover.errors import GuardLimitError, IntegrityError, ScalarModeError
 from flatcover.fitting import fit_hyperplane_exact
 from flatcover.geometry import MODE_FLOAT, MODE_RATIONAL, Hyperplane, WeightedPointCloud
-from oracles import cover_oracle, fraction_covers, fraction_positions, generate_candidates
+from flatcover.util import make_rng
+from oracles import (
+    cover_oracle,
+    fraction_covers,
+    fraction_positions,
+    generate_candidates,
+    slot_search_oracle,
+)
 
 
 def rcloud(points):
@@ -233,19 +240,31 @@ def test_counting_cut_answers_general_position_no_at_guard_1(d, n, k):
 @pytest.mark.parametrize("d,n,k", [(2, 15, 7), (3, 13, 4)])
 def test_counting_cut_hashing_is_capped(monkeypatch, d, n, k):
     # With no plane reaching the target the cut hashes exactly
-    # C(n, d) - C(target-1, d) combinations.  Above CUT_KEY_LIMIT it is
-    # skipped, and the node guard bounds the search that runs instead.
+    # C(n, d) - C(target-1, d) combinations: for d = 2 the pairs of an anchor
+    # and a later point, each bucketed by its direction, and for d = 3 the
+    # _plane_key calls.  Above CUT_KEY_LIMIT it is skipped, and the node
+    # guard bounds the search that runs instead.
     cloud = rcloud([tuple(t ** e for e in range(1, d + 1)) for t in range(1, n + 1)])
     keys = math.comb(n, d) - math.comb(-(-n // k) - 1, d)
     hashed = 0
-    plane_key = cover._plane_key
+    if d == 2:
+        lines_from = cover._lines_from
 
-    def counting_plane_key(base, spans):
-        nonlocal hashed
-        hashed += 1
-        return plane_key(base, spans)
+        def counting_lines_from(pts, a, size):
+            nonlocal hashed
+            hashed += len(pts) - 1 - a
+            return lines_from(pts, a, size)
 
-    monkeypatch.setattr(cover, "_plane_key", counting_plane_key)
+        monkeypatch.setattr(cover, "_lines_from", counting_lines_from)
+    else:
+        plane_key = cover._plane_key
+
+        def counting_plane_key(base, spans):
+            nonlocal hashed
+            hashed += 1
+            return plane_key(base, spans)
+
+        monkeypatch.setattr(cover, "_plane_key", counting_plane_key)
     monkeypatch.setattr(cover, "CUT_KEY_LIMIT", keys)
     assert solve_cover(cloud, k, guard=1) is None
     assert hashed == keys
@@ -374,3 +393,114 @@ def test_kernel_lines_are_checked_against_the_cloud(monkeypatch):
     monkeypatch.setattr(cover, "forced_line_kernel", wrong_kernel)
     with pytest.raises(IntegrityError):
         solve_cover(cloud, 2, kernel=True)
+
+
+def few_lines_cloud(rng):
+    """One to three random lines with three to five integer points each, plus
+    three to six points that may lie on none of them, so that covers often
+    need lines through two points only."""
+    pts = set()
+    for _ in range(int(rng.integers(1, 4))):
+        base = rng.integers(-20, 21, size=2)
+        step = rng.integers(-3, 4, size=2)
+        for t in rng.choice(np.arange(-8, 9), size=int(rng.integers(3, 6)), replace=False):
+            pts.add(tuple(int(b + t * s) for b, s in zip(base, step)))
+    for _ in range(int(rng.integers(3, 7))):
+        pts.add(tuple(int(c) for c in rng.integers(-30, 31, size=2)))
+    return rcloud(pts)
+
+
+def oracle_cover(cloud, k, with_kernel):
+    """The Fraction kernel, when asked for, then the unpruned slot search."""
+    pts, forced = cloud.distinct_positions(), []
+    if with_kernel:
+        kernelized = reference_kernel(cloud, k)
+        if kernelized is None:
+            return None
+        left, forced, k = kernelized
+        pts = [tuple(int(c * cloud.den) for c in p) for p in left]
+    planes = slot_search_oracle(pts, cloud.den, k) if pts else []
+    return None if planes is None else forced + planes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.booleans())
+def test_count_bound_keeps_slot_search_witnesses(seed, on_lines, with_kernel):
+    # The count bound drops only subtrees that hold no cover, so the search
+    # returns the unpruned search's first cover, hyperplane for hyperplane.
+    rng = np.random.default_rng(seed)
+    cloud = few_lines_cloud(rng) if on_lines else grid_heavy_cloud(rng, 2)
+    for k in range(1, 6):
+        got = solve_cover(cloud, k, kernel=with_kernel)
+        expect = oracle_cover(cloud, k, with_kernel)
+        assert (None if got is None else list(got.hyperplanes)) == expect, k
+
+
+def lines_points(rng, k, per_line):
+    """k distinct lines in the plane with per_line distinct integer points
+    each (perfbench's cover generator)."""
+    lines = []
+    while len(lines) < k:
+        base = tuple(int(v) for v in rng.integers(-60, 61, size=2))
+        dx, dy = (int(v) for v in rng.integers(-6, 7, size=2))
+        if dx == 0 and dy == 0:
+            continue
+        g = math.gcd(dx, dy)
+        dx, dy = dx // g, dy // g
+        if dx < 0 or (dx == 0 and dy < 0):
+            dx, dy = -dx, -dy
+        key = (dx, dy, dy * base[0] - dx * base[1])
+        if key in {ln[0] for ln in lines}:
+            continue
+        ts = rng.choice(np.arange(-25, 26), size=per_line, replace=False)
+        pts = [(base[0] + int(t) * dx, base[1] + int(t) * dy) for t in ts]
+        lines.append((key, pts))
+    return lines
+
+
+def eight_lines_cloud(seed):
+    return rcloud(sorted({p for _, line in lines_points(make_rng(seed), 8, 4) for p in line}))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_eight_lines_of_four_answer_within_guard(seed):
+    # 32 points on 8 lines: 8 lines cover them, 7 do not.  Without a count
+    # below the root, seed 0 with k = 8 needs more than 2000 nodes.
+    cloud = eight_lines_cloud(seed)
+    sol = solve_cover(cloud, 8, guard=2000)
+    assert sol is not None and verify_cover(cloud, sol.hyperplanes)
+    assert solve_cover(cloud, 7, guard=2000) is None
+
+
+@pytest.mark.parametrize("seed,k,nodes", [(0, 8, 68), (1, 7, 22)])
+def test_count_bound_node_counts(seed, k, nodes):
+    # A YES and a NO that the root cut does not decide, each answered in
+    # exactly ``nodes`` nodes.
+    cloud = eight_lines_cloud(seed)
+    assert (solve_cover(cloud, k, guard=nodes) is None) == (k == 7)
+    with pytest.raises(GuardLimitError):
+        solve_cover(cloud, k, guard=nodes - 1)
+
+
+def test_line_table_is_built_at_the_first_failed_branch(monkeypatch):
+    # A 6 x 5 grid in column order: with k = 6 the greedy descent takes the
+    # columns and never backtracks; with k = 5 it fails before finding the
+    # rows.  Above CUT_KEY_LIMIT no table is built at all.
+    cloud = rcloud([(x, y) for x in range(6) for y in range(5)])
+    built = []
+    line_table = cover._line_table
+
+    def counting_line_table(pts):
+        built.append(len(pts))
+        return line_table(pts)
+
+    monkeypatch.setattr(cover, "_line_table", counting_line_table)
+    sol = solve_cover(cloud, 6)
+    assert sol is not None and all(h.coeffs[2] == 0 for h in sol.hyperplanes)
+    assert built == []
+    sol = solve_cover(cloud, 5)
+    assert sol is not None and all(h.coeffs[1] == 0 for h in sol.hyperplanes)
+    assert built == [30]
+    monkeypatch.setattr(cover, "CUT_KEY_LIMIT", math.comb(30, 2) - 2)
+    assert solve_cover(cloud, 5) == sol
+    assert built == [30]
