@@ -204,15 +204,15 @@ MEMO_LIMIT = 2**16
 def _search(X, W, k, r, guard, leaf, seed=None) -> int:
     """Depth-first search over canonical partitions into at most k blocks.
 
-    Record i joins an existing block or opens the next one (restricted growth
-    strings).  A block's state is its record bitmask, its moments (weight,
-    coordinate sums and raw second moments as one tuple of plain floats, the
-    sum of per-record terms computed once), its cost and its size; a join
-    replaces the block's state, and backtracking restores the old one.  A
-    block of at most r+1 records costs exactly 0.0.  Every complete partition
-    goes to ``leaf(labels, total)``, which returns the bound: a branch is cut
-    once its accumulated cost reaches it.  The loop keeps its own stack, so
-    the depth is not limited by Python's recursion limit.
+    Each record, from record 0 on, joins a block in use or opens the next one
+    (restricted growth strings).  A block's state is its record bitmask, its
+    moments (weight, coordinate sums and raw second moments as one tuple of
+    plain floats, the sum of per-record terms computed once), its cost and its
+    size; a join replaces the block's state, and backtracking restores the old
+    one.  A block of at most r+1 records costs exactly 0.0.  Every complete
+    partition goes to ``leaf(labels, total)``, which returns the bound: a
+    branch is cut once its accumulated cost reaches it.  The loop keeps its
+    own stack, so the depth is not limited by Python's recursion limit.
 
     Records join blocks in ascending index order on every branch, so a
     block's floats, cost included, are a function of its record set alone.
@@ -276,35 +276,21 @@ def _search(X, W, k, r, guard, leaf, seed=None) -> int:
             scale = float(W @ (X * X).sum(axis=1))
             bound = math.nextafter(peak + SEED_MARGIN * scale, math.inf)
 
-    def visit():
-        nonlocal nodes
-        nodes += 1
-        if nodes > guard:
-            raise GuardLimitError(
-                f"instance too large for exact mode: partition-search nodes exceed {guard}")
-
-    # Record 0 always opens block 0.
+    # Depth i places record i: its running total, blocks in use, next block
+    # to try, and the (block, state) its join displaced.  Record 0 opens
+    # block 0 at a total of 0.0, which is below any bound the seed sets.
     labels = [0] * n
     blocks = [empty] * k
-    blocks[0] = grow(empty, 0)
-    visit()
-    if n == 1:
-        leaf(labels, blocks[0][2])
-        return nodes
-    # Depth i places record i: its running total, blocks in use, next block
-    # to try, and the (block, state) its join displaced.
     totals = [0.0] * n
     used = [0] * n
     nxt = [0] * n
     saved = [None] * n
-    totals[1] = blocks[0][2]
-    used[1] = 1
-    i = 1
-    while i:
+    i = 0
+    while i >= 0:
         b = nxt[i]
         if b > used[i] or b == k:
             i -= 1
-            if i:
+            if i >= 0:
                 j, state = saved[i]
                 blocks[j] = state
             continue
@@ -314,7 +300,10 @@ def _search(X, W, k, r, guard, leaf, seed=None) -> int:
         total = totals[i] - old[2] + state[2]
         if total >= bound:
             continue
-        visit()
+        nodes += 1
+        if nodes > guard:
+            raise GuardLimitError(
+                f"instance too large for exact mode: partition-search nodes exceed {guard}")
         labels[i] = b
         if i + 1 == n:
             bound = leaf(labels, total)
@@ -346,8 +335,8 @@ def _lockstep_labels(X, W, k, r):
     moments are not finite.
 
     This duplicates the assign/refit loop of ``solve_heuristic``, whose
-    answers it would change; the two merge once the heuristic's benchmark
-    reference is re-recorded.
+    answers a merge would change; the two merge once the heuristic
+    benchmark's throughput is re-baselined for converging solves.
     """
     n, d = X.shape
     # Restart t seeds block j with the r+1 records of smallest key [t, j].

@@ -9,6 +9,9 @@ from .geometry import MODE_FLOAT, MODE_RATIONAL, WeightedPointCloud
 from .reductions import ColoredGraph
 from .util import make_rng
 
+PLANTED_LINE_SPACING = 1.0  # distance between neighbouring planted lines
+RANDOM_CLOUD_SCALE = 5.0  # half-width of the cube random_cloud samples
+
 
 def _check_size(n_points: int, dim: int) -> None:
     if dim < 1:
@@ -18,8 +21,8 @@ def _check_size(n_points: int, dim: int) -> None:
 
 
 def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
-                        *, spacing: float = 1.0, rotate: bool = True):
-    """Points near k parallel lines (spacing apart), optionally rigidly rotated.
+                        *, rotate: bool = True):
+    """Points near k parallel lines PLANTED_LINE_SPACING apart, optionally rotated.
 
     Points are stratified along each line over a span of 10x the spacing so
     that every planted line is well determined by its own points.  Returns
@@ -30,7 +33,7 @@ def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
     if k_lines < 1:
         raise ValueError(f"need at least one planted line, got k = {k_lines}")
     rng = make_rng(seed)
-    span = 10.0 * spacing
+    span = 10.0 * PLANTED_LINE_SPACING
     per_line = -(-n_points // k_lines)
     pts = []
     labels = []
@@ -40,7 +43,7 @@ def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
         slot = slot_of[line]
         slot_of[line] += 1
         x = span * (slot + rng.uniform(0.0, 1.0)) / per_line
-        y = line * spacing + rng.normal() * noise
+        y = line * PLANTED_LINE_SPACING + rng.normal() * noise
         pts.append((x, y))
         labels.append(line)
     theta = rng.uniform(0.0, math.pi) if rotate else 0.0
@@ -48,19 +51,19 @@ def planted_lines_cloud(n_points: int, k_lines: int, noise: float, seed: int,
     rot = [(c * x - s * y, s * x + c * y) for x, y in pts]
     lines = []
     for line in range(k_lines):
-        p0 = (-s * line * spacing, c * line * spacing)
+        p0 = (-s * line * PLANTED_LINE_SPACING, c * line * PLANTED_LINE_SPACING)
         lines.append((p0, (c, s)))
     cloud = WeightedPointCloud.create(rot, MODE_FLOAT)
     return cloud, tuple(labels), lines
 
 
-def random_cloud(n_points: int, dim: int, seed: int, *, scale: float = 5.0,
+def random_cloud(n_points: int, dim: int, seed: int, *,
                  max_mult: int = 1) -> WeightedPointCloud:
     _check_size(n_points, dim)
     if max_mult < 1:
         raise ValueError(f"max_mult must be at least 1, got {max_mult}")
     rng = make_rng(seed)
-    pts = rng.uniform(-scale, scale, size=(n_points, dim))
+    pts = rng.uniform(-RANDOM_CLOUD_SCALE, RANDOM_CLOUD_SCALE, size=(n_points, dim))
     mults = rng.integers(1, max_mult + 1, size=n_points) if max_mult > 1 else None
     return WeightedPointCloud.create(pts, MODE_FLOAT, mults)
 

@@ -226,13 +226,13 @@ class AffineFlat:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """Exact hyperplane c0 + c1*x[1] + ... + cd*x[d] = 0, stored normalized.
-
-    Normalization scales the coefficients to coprime integers and makes the
-    first nonzero of (c1..cd) positive, giving one representative per plane.
+    """Exact hyperplane c0 + c1*x[1] + ... + cd*x[d] = 0 with coprime int
+    coefficients, the first nonzero of (c1..cd) positive: one representative
+    per plane.  Other coefficient types raise ScalarModeError, and
+    ``cover.scaled_planes`` tests membership.
     """
 
-    coeffs: tuple  # (c0, c1, ..., cd) as ints after normalization
+    coeffs: tuple  # (c0, c1, ..., cd), coprime ints
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", normalize_coeffs(self.coeffs))
@@ -241,21 +241,11 @@ class Hyperplane:
     def dim(self) -> int:
         return len(self.coeffs) - 1
 
-    def contains(self, point: Sequence, den: int = 1) -> bool:
-        """Whether the point point/den lies on the plane: c0*den + c.point == 0."""
-        if len(point) != self.dim:
-            raise DimensionMismatchError(
-                f"point of dim {len(point)} against hyperplane of dim {self.dim}")
-        c0, *normal = self.coeffs
-        return c0 * den + sum(c * x for c, x in zip(normal, point)) == 0
-
 
 def normalize_coeffs(coeffs: Sequence) -> tuple:
-    """Scale rational coefficients to the canonical coprime-integer form."""
+    """Scale integer coefficients to the canonical coprime form."""
     if not all(type(c) is int for c in coeffs):
-        fr = [Fraction(c) for c in coeffs]
-        lcm = math.lcm(*(c.denominator for c in fr))
-        coeffs = [c.numerator * (lcm // c.denominator) for c in fr]
+        raise ScalarModeError("hyperplane coefficients must be ints")
     if not any(coeffs[1:]):
         raise ValueError("hyperplane requires a nonzero linear part")
     g = math.gcd(*coeffs)

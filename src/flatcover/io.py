@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -237,10 +238,12 @@ def cover_solution_to_obj(sol: CoverSolution) -> dict:
 
 def cover_solution_from_obj(data: dict) -> CoverSolution:
     data = _object(data, "a cover")
-    planes = tuple(Hyperplane(tuple(parse_scalar(c, MODE_RATIONAL)
-                                    for c in _list(row, "a hyperplane")))
-                   for row in _list(data["hyperplanes"], "hyperplanes"))
-    return CoverSolution(planes)
+    planes = []
+    for row in _list(data["hyperplanes"], "hyperplanes"):
+        row = [parse_scalar(c, MODE_RATIONAL) for c in _list(row, "a hyperplane")]
+        lcm = math.lcm(*(c.denominator for c in row))
+        planes.append(Hyperplane(tuple(c.numerator * (lcm // c.denominator) for c in row)))
+    return CoverSolution(tuple(planes))
 
 
 def witness_from_obj(data: dict) -> tuple:

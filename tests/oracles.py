@@ -19,7 +19,13 @@ from flatcover.errors import (
     ScalarModeError,
 )
 from flatcover.fitting import best_fit_flat, echelon_row, fit_hyperplane_exact, reduce_row
-from flatcover.geometry import MODE_FLOAT, AffineFlat, WeightedPointCloud, dist2_rows
+from flatcover.geometry import (
+    MODE_FLOAT,
+    AffineFlat,
+    Hyperplane,
+    WeightedPointCloud,
+    dist2_rows,
+)
 from flatcover.reductions import ColoredGraph
 
 
@@ -69,8 +75,24 @@ def generate_candidates(cloud):
                 continue
             planes.setdefault(h.coeffs, h)
     return [(h, tuple(i for i, rec in enumerate(cloud.records)
-                      if h.contains(rec.coords, cloud.den)))
+                      if on_plane(h, rec.coords, cloud.den)))
             for _, h in sorted(planes.items())]
+
+
+def on_plane(h, point, den=1):
+    """Whether the point point/den lies on hyperplane h: c0*den + c.point == 0."""
+    if len(point) != h.dim:
+        raise DimensionMismatchError(
+            f"point of dim {len(point)} against hyperplane of dim {h.dim}")
+    c0, *normal = h.coeffs
+    return c0 * den + sum(c * x for c, x in zip(normal, point)) == 0
+
+
+def integer_plane(coeffs):
+    """The Hyperplane with rational coefficients ``coeffs``, scaled to
+    integers by their common denominator."""
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    return Hyperplane(tuple(int(c * scale) for c in coeffs))
 
 
 def cover_oracle(cloud, k):

@@ -171,7 +171,7 @@ def test_criterion_4_planted_recovery():
     t0 = time.time()
     recovered = 0
     for seed in range(20):
-        cloud, labels, lines = planted_lines_cloud(12, 3, 0.1, seed, spacing=1.0)
+        cloud, labels, lines = planted_lines_cloud(12, 3, 0.1, seed)
         sol = solve_exact(cloud, 3, 1)
         planted_blocks = {}
         got_blocks = {}

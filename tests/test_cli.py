@@ -211,14 +211,14 @@ def test_verify_cover_witness_on_ds_instance(tmp_path, capsys):
     gpath.write_text(json.dumps(fio.graph_to_obj(path_graph(4))))
     ipath = tmp_path / "inst.json"
     run(["reduce-ds", str(gpath), "-k", "2", "-o", str(ipath)])
-    # A raw cover witness: the planes x[1] = 1 and x[3] = 1 for {0, 2}.
+    # A raw cover witness: the planes x[1] = 1 and x[3] = 1 for {0, 2},
+    # with integer and with "num/den" coefficients.
     wpath = tmp_path / "cover.json"
-    wpath.write_text(json.dumps({
-        "kind": "cover",
-        "hyperplanes": [["-1", "1", "0", "0", "0"], ["-1", "0", "0", "1", "0"]],
-    }))
-    assert run(["verify", str(ipath), str(wpath)]) == 0
-    assert "PASS" in capsys.readouterr().out
+    for hyperplanes in ([["-1", "1", "0", "0", "0"], ["-1", "0", "0", "1", "0"]],
+                        [["-2/2", "1/1", "0", "0", "0"], ["-1/3", "0", "0", "1/3", "0/5"]]):
+        wpath.write_text(json.dumps({"kind": "cover", "hyperplanes": hyperplanes}))
+        assert run(["verify", str(ipath), str(wpath)]) == 0
+        assert "PASS" in capsys.readouterr().out
 
 
 def test_manifest_records_the_argv_given_to_main(tmp_path, monkeypatch):
@@ -475,6 +475,12 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
      "W is the least weight of a Z stack and must be >= 1, got -5"),
     (["reduce-rmis", "{rmis_graph}", "--override", "W=0", "-o", "{out}"],
      "W is the least weight of a Z stack and must be >= 1, got 0"),
+    *[(["cluster", "{float_cloud}", "-k", "1", "-r", "1", "--heuristic", option, value,
+        "-o", "{out}"], "restarts >= 1, max_iter >= 1, rel_tol > 0 required")
+      for option, value in [("--restarts", "0"), ("--max-iter", "0"), ("--tol", "0"),
+                            ("--tol", "nan")]],
+    (["cover", "{space_cloud}", "-k", "-1", "-o", "{out}"], "k must be >= 0"),
+    (["verify", "{ds_inst}", "{cover}"], "hyperplane dimension differs from cloud"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "ds-cover-above-k", "plot-witness",
         "plot-fit-result", "plot-solution-list", "plot-nested-basis", "planted-k-zero",
@@ -483,7 +489,9 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
         "cloud-dim-negative", "cover-dim-zero", "random-dim-negative",
         "random-exact-dim-negative", "random-n-zero", "random-exact-n-zero",
         "planted-n-zero", "cover-kernel-3d", "rmis-p-zero", "rmis-W-negative",
-        "rmis-W-zero"])
+        "rmis-W-zero", "heuristic-restarts-zero", "heuristic-max-iter-zero",
+        "heuristic-tol-zero", "heuristic-tol-nan", "cover-k-negative",
+        "ds-cover-wrong-dimension"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},

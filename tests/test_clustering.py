@@ -302,6 +302,18 @@ def test_count_consistent_node_guard():
         count_consistent_partitions(cloud, 2, 1)
 
 
+@pytest.mark.parametrize("r", [0, 1])
+def test_one_record_is_one_node(r):
+    # Record 0's placement is the search's first node and, here, its only leaf.
+    cloud = fcloud([(2.0, -3.0)])
+    for solve in (solve_exact, count_consistent_partitions):
+        with pytest.raises(GuardLimitError):
+            solve(cloud, 1, r, guard=0)
+    sol = solve_exact(cloud, 1, r, guard=1)
+    assert sol.cost == 0.0 and sol.assignment == (0,)
+    assert count_consistent_partitions(cloud, 1, r, guard=1) == 1
+
+
 def test_solve_exact_planted_n19_under_default_guard(monkeypatch):
     # 1.94e8 canonical partitions, but pruning visits only a few thousand
     # nodes, so the default node cap admits it.
@@ -482,6 +494,12 @@ def degenerate_3d_blocks(rng):
         blocks.append((np.tile(rng.normal(size=3), (4, 1)), [1, 2, 3, 1]))
         blocks.append((rng.normal(size=(6, 3)) + 1e3, [1] * 6))
     return blocks
+
+
+def test_block_cost_2d_overflow_is_finite():
+    # (a - b) ** 2 on a Python float raises OverflowError instead of giving inf.
+    cost = _block_cost(2, 1)(1.0, 0.0, 0.0, 1e300, 0.0, 0.0)
+    assert math.isfinite(cost) and cost >= 0.0
 
 
 def test_block_cost_3d_closed_form_matches_eigvalsh():

@@ -18,6 +18,8 @@ from oracles import (
     fraction_covers,
     fraction_positions,
     generate_candidates,
+    integer_plane,
+    on_plane,
     slot_search_oracle,
 )
 
@@ -89,7 +91,7 @@ def test_candidate_completeness(seed):
     # Any line through >= 2 input points is dominated by some candidate.
     for a, b in itertools.combinations(positions, 2):
         h = fit_hyperplane_exact([a, b])
-        covered = {p for p in positions if h.contains(p)}
+        covered = {p for p in positions if on_plane(h, p)}
         assert any(covered <= {cloud.records[i].coords for i in on}
                    for _, on in cands)
 
@@ -284,9 +286,10 @@ def test_counting_cut_keeps_collinear_3d_clouds():
 
 
 def reference_kernel(cloud, k):
-    """The forced-line kernel with one exact Fraction line per point pair: the
-    oracle the integer line hashing in forced_line_kernel must match.  The
-    remaining positions come back as Fraction coordinates."""
+    """The forced-line kernel with one exact Fraction line per point pair,
+    scaled to integers: the oracle the integer line hashing in
+    forced_line_kernel must match.  The remaining positions come back as
+    Fraction coordinates."""
     positions = fraction_positions(cloud)
     forced = []
     k_cur = k
@@ -294,7 +297,7 @@ def reference_kernel(cloud, k):
         counts = {}
         for i, j in itertools.combinations(range(len(positions)), 2):
             (px, py), (qx, qy) = positions[i], positions[j]
-            h = Hyperplane((qx * py - px * qy, qy - py, px - qx))
+            h = integer_plane((qx * py - px * qy, qy - py, px - qx))
             counts.setdefault(h.coeffs, set()).update((i, j))
         best = None
         for coeffs, members in counts.items():

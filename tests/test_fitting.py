@@ -14,7 +14,7 @@ from flatcover.geometry import (
     WeightedPointCloud,
     total_cost,
 )
-from oracles import canonicalize_flat, centroid, dist2_point_flat
+from oracles import canonicalize_flat, centroid, dist2_point_flat, on_plane
 
 
 def fcloud(points, mults=None):
@@ -198,7 +198,7 @@ def test_fit_hyperplane_contains_inputs():
     pts = [(2, 3, 5), (1, 1, 1), (0, 4, -2)]
     h = fit_hyperplane_exact(pts)
     for p in pts:
-        assert h.contains(p)
+        assert on_plane(h, p)
 
 
 def test_fit_hyperplane_rational_frames_d4():
@@ -220,8 +220,8 @@ def test_fit_hyperplane_rational_frames_d4():
     pts = [tuple(int(c * den) for c in p) for p in real]
     for m, coeffs in expected.items():
         h = fit_hyperplane_exact(pts[:m], den)
-        assert all(h.contains(p, den) for p in pts[:m])
-        assert all(h.contains(p) for p in real[:m])
+        assert all(on_plane(h, p, den) for p in pts[:m])
+        assert all(on_plane(h, p) for p in real[:m])
         assert h.coeffs == coeffs
 
 

@@ -38,6 +38,7 @@ from oracles import (
     dist2_point_flat,
     fraction_cloud_cost,
     fraction_covers,
+    integer_plane,
     path_graph,
 )
 
@@ -216,13 +217,23 @@ def test_total_cost_requires_flats():
         total_cost(make_cloud([(0.0, 0.0)]), [])
 
 
+def read_plane(coeffs):
+    """The Hyperplane of one cover row whose coefficients are written as
+    "num/den" text."""
+    obj = {"hyperplanes": [[str(c) for c in coeffs]]}
+    return fio.cover_solution_from_obj(obj).hyperplanes[0]
+
+
 def test_hyperplane_normalization():
-    h = Hyperplane((Fraction(0), Fraction(-2), Fraction(2)))
-    assert h.coeffs == (0, 1, -1)
-    h2 = Hyperplane((Fraction(1, 2), Fraction(1, 3), Fraction(0)))
-    assert h2.coeffs == (3, 2, 0)
+    assert Hyperplane((0, -2, 2)).coeffs == (0, 1, -1)
+    assert read_plane(["0/1", "-2", "2/1"]).coeffs == (0, 1, -1)
+    assert read_plane(["1/2", "1/3", "0"]).coeffs == (3, 2, 0)
     with pytest.raises(ValueError):
-        Hyperplane((Fraction(1), Fraction(0), Fraction(0)))
+        read_plane(["1/1", "0", "0"])
+    # Only ints build a plane; a float 0.5 is not read as 1/2.
+    for coeffs in ((Fraction(1, 2), 1, 0), (0.5, 1, 0), (True, 1, 0)):
+        with pytest.raises(ScalarModeError):
+            Hyperplane(coeffs)
 
 
 @settings(max_examples=50, deadline=None)
@@ -232,8 +243,8 @@ def test_hyperplane_normalize_scale_invariant(coeffs, scale):
     if all(c == 0 for c in coeffs[1:]):
         coeffs = list(coeffs)
         coeffs[1] = Fraction(1)
-    a = Hyperplane(tuple(coeffs))
-    b = Hyperplane(tuple(c * scale for c in coeffs))
+    a = read_plane(coeffs)
+    b = read_plane([c * scale for c in coeffs])
     assert a.coeffs == b.coeffs
     first = next(c for c in a.coeffs[1:] if c != 0)
     assert first > 0
@@ -369,9 +380,9 @@ def test_fraction_clouds_are_canonical_and_exact(drawn, data):
     # cloud when every first coordinate is among them, and two random planes.
     firsts = sorted({row[0] for row in rows})
     kept = data.draw(st.lists(st.sampled_from(firsts), unique=True, max_size=len(firsts)))
-    planes = [Hyperplane((-c, 1) + (0,) * (dim - 1)) for c in kept]
+    planes = [integer_plane((-c, 1) + (0,) * (dim - 1)) for c in kept]
     planes += data.draw(st.lists(st.builds(
-        lambda cs: Hyperplane((cs[0], 1) + tuple(cs[1:])),
+        lambda cs: integer_plane((cs[0], 1) + tuple(cs[1:])),
         st.lists(RATIONALS, min_size=dim, max_size=dim)), max_size=2))
     assert verify_cover(cloud, planes) == fraction_covers(cloud, planes)
     if dim == 2:

@@ -34,6 +34,7 @@ from oracles import (
     fraction_cloud_cost,
     fraction_covers,
     full_rank,
+    on_plane,
     path_graph,
     ring_color_graph,
     star_graph,
@@ -69,7 +70,7 @@ def test_ds_points_lie_on_neighborhood_planes():
         for u in g.closed_neighborhood(v):
             plane = axis_one_plane(3, u)
             for rec in inst.cloud.records[v * rows:(v + 1) * rows]:
-                assert plane.contains(rec.coords)
+                assert on_plane(plane, rec.coords)
 
 
 def test_ds_instance_rejects_universal_vertex():
@@ -151,7 +152,7 @@ def test_reverse_extraction_round_trip():
 def test_reverse_extraction_rejects_non_cover():
     g = path_graph(3)
     inst = ds_to_hyperplane_cover(g, 2, allow_trivial=True)
-    stray = Hyperplane((Fraction(-7), Fraction(1), Fraction(0), Fraction(0)))
+    stray = Hyperplane((-7, 1, 0, 0))
     with pytest.raises(ValueError):
         cover_to_dominating_set(inst, [stray])
 
