@@ -71,6 +71,12 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _check_finite(value: float | None, option: str) -> None:
+    """Refuse a non-finite float option before any work is done."""
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"{option} must be a finite number, got {value}")
+
+
 def _write_output(args, payload: dict, command: str, inputs: list,
                   seed: int | None) -> None:
     payload = dict(payload)
@@ -97,6 +103,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_cluster(args) -> int:
+    _check_finite(args.budget, "--budget")
     # Resolved in both modes, so that a negative cap is refused with or
     # without --heuristic, which has no node guard.
     guard = resolve_guard(DEFAULT_NODE_GUARD, args.guard)
@@ -200,6 +207,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _check_finite(args.noise, "--noise")
     if args.format == "csv" and args.what not in ("planted", "random"):
         raise ValueError(f"CSV output is only available for float clouds, not {args.what}")
     if args.what == "planted":

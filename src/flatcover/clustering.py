@@ -37,11 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuardLimitError, ScalarModeError
-from .fitting import fit_points
+from .fitting import affine_flat, centred_scatter, fit_points, fit_scatter
 from .geometry import (
     MODE_FLOAT,
     ClusteringSolution,
     WeightedPointCloud,
+    check_canonical,
+    dist2_arrays,
     dist2_rows,
 )
 from .util import DEFAULT_NODE_GUARD, make_rng, resolve_guard
@@ -443,29 +445,38 @@ def count_consistent_partitions(cloud: WeightedPointCloud, k: int, r: int,
     return count
 
 
-def _heuristic_restart(X, W, k, r, config, stream):
-    """One seeded restart on the shared record arrays: (cost, assignment, flats)."""
-    rng = make_rng(config.rng_seed, stream)
+def _fit_flats(C, S, r) -> list:
+    """(offset, basis) of each stacked scatter's r-flat, checked as AffineFlat checks."""
+    _, B, offset = fit_scatter(C, S, r)
+    check_canonical(B, offset)
+    return list(zip(offset, B))
+
+
+def _heuristic_restart(X, W, k, r, config, flats):
+    """One restart on the shared record arrays: (cost, assignment, flats).
+
+    ``flats`` holds the restart's k initial flats as (offset, basis) array
+    pairs and is refitted in place.  Each round takes every record's squared
+    distance to each flat with :func:`dist2_arrays` (``dist2_rows``' own
+    operations), assigns it to the first nearest flat of the (k, n) stack,
+    refits every nonempty block with one stacked :func:`fit_scatter` and
+    reseeds each empty block from the record with the largest residual.
+    """
     n = len(X)
-
-    def fit(idx):
-        return fit_points(X[idx], W[idx], r).flat
-
-    m = min(r + 1, n)
-    flats = [fit(sorted(rng.choice(n, size=m, replace=False))) for _ in range(k)]
     prev_cost = math.inf
     for _ in range(config.max_iter):
-        D = np.column_stack([dist2_rows(X, f) for f in flats])
-        assign = np.argmin(D, axis=1)  # ties resolve to the lowest flat index
+        D = np.stack([dist2_arrays(X, *f) for f in flats])
+        assign = D.argmin(axis=0)  # ties resolve to the lowest flat index
         # Each flat's members in ascending record order, from one stable sort.
         sizes = np.bincount(assign, minlength=k)
         blocks = np.split(np.argsort(assign, kind="stable"), np.cumsum(sizes)[:-1])
+        full = np.flatnonzero(sizes)
+        rows = [(X[blocks[j]], W[blocks[j]]) for j in full]
+        C, S = zip(*(centred_scatter(Xj, Wj) for Xj, Wj in rows))
         resid = np.empty(n)
-        for j, members in enumerate(blocks):
-            if len(members):
-                Xj = X[members]
-                flats[j] = fit_points(Xj, W[members], r).flat
-                resid[members] = dist2_rows(Xj, flats[j])
+        for j, (Xj, _), flat in zip(full, rows, _fit_flats(np.stack(C), np.stack(S), r)):
+            flats[j] = flat
+            resid[blocks[j]] = dist2_arrays(Xj, *flat)
         cost = float(W @ resid)
         # Reseed empty blocks from the records with the largest current
         # residuals (claimed in place: resid is rebuilt every round); a
@@ -473,7 +484,7 @@ def _heuristic_restart(X, W, k, r, config, stream):
         reseeded = False
         for j in np.flatnonzero(sizes == 0):
             worst = int(np.argmax(resid))
-            flats[j] = fit([worst])
+            flats[j], = _fit_flats(*centred_scatter(X[None, [worst]], W[None, [worst]]), r)
             resid[worst] = -1.0
             reseeded = True
         converged = (not reseeded
@@ -481,7 +492,7 @@ def _heuristic_restart(X, W, k, r, config, stream):
         prev_cost = cost
         if converged:
             break
-    return prev_cost, assign, tuple(flats)
+    return prev_cost, assign, flats
 
 
 def solve_heuristic(cloud: WeightedPointCloud, k: int, r: int,
@@ -490,18 +501,30 @@ def solve_heuristic(cloud: WeightedPointCloud, k: int, r: int,
 
     Each restart draws from an independent counter-based stream and restarts
     merge by (cost, assignment lexicographic), so the result does not depend
-    on the order in which restarts run.  All restarts share one copy of the
-    record arrays; assignments are compared only between restarts of equal
-    cost.
+    on the order in which restarts run.  Every restart's k initial flats are
+    each fitted through r+1 records drawn from its stream, all restarts'
+    together in one stacked fit.  All restarts share one copy of the record
+    arrays and keep their flats as arrays; only the winner's flats become
+    :class:`AffineFlat` objects.  Assignments are compared only between
+    restarts of equal cost.
     """
     _check_solver_args(cloud, k, r)
     X = cloud.coords_array()
     W = cloud.weights_array()
+    n = len(X)
+    m = min(r + 1, n)
+    # Row t * k + j holds the records of restart t's initial flat j.
+    seeds = np.array([sorted(rng.choice(n, size=m, replace=False))
+                      for rng in (make_rng(config.rng_seed, s)
+                                  for s in range(config.restarts))
+                      for _ in range(k)])
+    initial = _fit_flats(*centred_scatter(X[seeds], W[seeds]), r)
     best = None
-    for stream in range(config.restarts):
-        cost, assign, flats = _heuristic_restart(X, W, k, r, config, stream)
+    for t in range(config.restarts):
+        cost, assign, flats = _heuristic_restart(X, W, k, r, config,
+                                                 initial[t * k:(t + 1) * k])
         if (best is None or cost < best[0]
                 or (cost == best[0] and assign.tolist() < best[1].tolist())):
             best = cost, assign, flats
     cost, assign, flats = best
-    return ClusteringSolution(flats, assign.tolist(), cost)
+    return ClusteringSolution(tuple(affine_flat(*f) for f in flats), assign.tolist(), cost)

@@ -41,22 +41,29 @@ class FitResult:
 
 
 def _sorted_eig(S: np.ndarray):
-    """Eigenpairs sorted descending with deterministic tie-breaking.
+    """Eigenpairs of a symmetric matrix, or of each matrix of a stack
+    ``(..., d, d)``, sorted descending with deterministic tie-breaking.
 
+    One ``eigh`` call, one stable argsort and one sign fix serve the whole
+    stack, and each matrix gets the eigenpairs it gets alone, bit for bit.
     Ties keep ascending original index; each eigenvector's sign is fixed so
     that its largest-magnitude component (first such index) is positive.
+    Eigenvalues in [-EIG_CLAMP, 0) become 0.  Each matrix of eigenvectors
+    is Fortran-ordered, as a column selection of one ``eigh`` result is: a
+    matmul with its columns rounds by their layout, and a C-ordered copy
+    moves fitted offsets in the last bit.
     """
-    w, V = np.linalg.eigh(S)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    V = V[:, order]
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            V[:, j] = -col
+    d = S.shape[-1]
+    w, V = np.linalg.eigh(S.reshape(-1, d, d))
+    rows = np.arange(len(w))[:, None]
+    order = (-w).argsort(kind="stable")
+    w = w[rows, order]
+    # Vt[t, j] is eigenvector j of matrix t, in descending order.
+    Vt = V.transpose(0, 2, 1)[rows, order]
+    flip = Vt[rows, np.arange(d), abs(Vt).argmax(axis=2)] < 0
+    np.negative(Vt, out=Vt, where=flip[..., None])
     w[(w < 0) & (w >= -EIG_CLAMP)] = 0.0
-    return w, V
+    return w.reshape(S.shape[:-1]), Vt.reshape(S.shape).swapaxes(-1, -2)
 
 
 def best_fit_flat(cloud: WeightedPointCloud, r: int) -> FitResult:
@@ -78,21 +85,51 @@ def best_fit_flat(cloud: WeightedPointCloud, r: int) -> FitResult:
 
 
 def fit_points(X: np.ndarray, w: np.ndarray, r: int) -> FitResult:
-    """Array core of :func:`best_fit_flat`: rows of X with weights w, unchecked.
+    """:func:`best_fit_flat` on rows of X with weights w, whose shapes are unchecked.
 
-    The caller guarantees at least one row and 0 <= r < d.
+    The caller guarantees at least one row and 0 <= r < d.  The arithmetic
+    is :func:`centred_scatter` then :func:`fit_scatter`, which also serve
+    stacks of blocks; this wraps their arrays as a :class:`FitResult`, whose
+    :class:`AffineFlat` checks the fitted basis and offset.
     """
-    d = X.shape[1]
-    C = (w @ X) / w.sum()
-    D = X - C
-    S = (D * w[:, None]).T @ D
-    evals, evecs = _sorted_eig(S)
-    basis = tuple(tuple(evecs[:, j]) for j in range(r))
-    B = evecs[:, :r]
-    offset = C - B @ (B.T @ C) if r else C.copy()
-    flat = AffineFlat(d, r, basis, tuple(offset), MODE_FLOAT)
+    evals, B, offset = fit_scatter(*centred_scatter(X, w), r)
     cost = float(np.sum(evals[r:]))
-    return FitResult(flat=flat, cost=max(cost, 0.0), spectrum=tuple(evals))
+    return FitResult(flat=affine_flat(offset, B), cost=max(cost, 0.0),
+                     spectrum=tuple(evals))
+
+
+def centred_scatter(X: np.ndarray, w: np.ndarray):
+    """Weighted centroid C and centred scatter S of the rows of X.
+
+    X is ``(..., n, d)`` with weights w ``(..., n)``: one block or a stack
+    of equal-size blocks, each block's arrays bit for bit those it gets
+    alone.
+    """
+    C = (w[..., None, :] @ X)[..., 0, :] / w.sum(axis=-1)[..., None]
+    D = X - C[..., None, :]
+    return C, (D * w[..., None]).swapaxes(-1, -2) @ D
+
+
+def fit_scatter(C: np.ndarray, S: np.ndarray, r: int):
+    """(spectrum, basis B, offset) of the optimal r-flat of each scatter.
+
+    C is ``(..., d)`` and S ``(..., d, d)``; one :func:`_sorted_eig` call
+    serves the stack.  B holds the top-r eigenvectors as columns and the
+    offset is C minus its projection onto them, so B^T offset = 0 up to
+    rounding.  Nothing is checked: :class:`AffineFlat` and
+    :func:`geometry.check_canonical` check the flat.
+    """
+    evals, evecs = _sorted_eig(S)
+    B = evecs[..., :r]
+    offset = C - (B @ (B.swapaxes(-1, -2) @ C[..., None]))[..., 0] if r else C.copy()
+    return evals, B, offset
+
+
+def affine_flat(offset: np.ndarray, B: np.ndarray) -> AffineFlat:
+    """The :class:`AffineFlat` with basis columns B and this offset."""
+    d, r = B.shape
+    return AffineFlat(d, r, tuple(tuple(B[:, j]) for j in range(r)), tuple(offset),
+                      MODE_FLOAT)
 
 
 # ---------------------------------------------------------------------------

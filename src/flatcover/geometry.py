@@ -210,18 +210,33 @@ class AffineFlat:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "offset", offset)
         if r:
-            B = self.basis_array()
-            if not np.allclose(B.T @ B, np.eye(r), atol=1e-8):
-                raise RankDeficiencyError("basis is not column-orthonormal")
-            if np.max(np.abs(B.T @ np.array(offset))) > 1e-6 * max(
-                    1.0, float(np.max(np.abs(offset)))):
-                raise ValueError("offset has a component inside the basis span")
+            check_canonical(self.basis_array(), self.offset_array())
 
     def basis_array(self) -> np.ndarray:
         return np.array(self.basis, dtype=float).T.reshape(self.dim_ambient, self.dim_flat)
 
     def offset_array(self) -> np.ndarray:
         return np.array(self.offset, dtype=float)
+
+
+def check_canonical(B: np.ndarray, offset: np.ndarray) -> None:
+    """Raise unless each flat of B ``(..., d, r)`` and offset ``(..., d)`` is canonical.
+
+    The basis columns must be orthonormal (``np.allclose`` of B^T B to I at
+    atol 1e-8, written out so that it applies to a stack) and the offset
+    orthogonal to them: no |B^T offset| entry above 1e-6 times the largest
+    |offset| entry, or 1e-6 if that entry is below 1.
+    """
+    r = B.shape[-1]
+    if not r:
+        return
+    Bt = B.swapaxes(-1, -2)
+    eye = np.eye(r)
+    if not (abs(Bt @ B - eye) <= 1e-8 + 1e-5 * eye).all():
+        raise RankDeficiencyError("basis is not column-orthonormal")
+    inside = abs(Bt @ offset[..., None]).max(axis=(-2, -1))
+    if (inside > 1e-6 * np.fmax(1.0, abs(offset).max(axis=-1))).any():
+        raise ValueError("offset has a component inside the basis span")
 
 
 @dataclass(frozen=True)
@@ -288,9 +303,13 @@ def dist2_rows(X: np.ndarray, flat: AffineFlat) -> np.ndarray:
     under the canonical invariant B^T p = 0.  A row on the flat gets 0, up to
     float roundoff.
     """
-    Y = X - flat.offset_array()
-    if flat.dim_flat:
-        B = flat.basis_array()
+    return dist2_arrays(X, flat.offset_array(), flat.basis_array())
+
+
+def dist2_arrays(X: np.ndarray, offset: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """:func:`dist2_rows` for a flat given as its offset and basis columns B."""
+    Y = X - offset
+    if B.shape[1]:
         Y = Y - (Y @ B) @ B.T
     return np.einsum("ij,ij->i", Y, Y)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -151,6 +152,30 @@ def _parse_mult(value) -> int:
     return parse_int(value, "a multiplicity")
 
 
+def _plain_float_records(points: list):
+    """The records of points that need no parsing, or None.
+
+    Each point must be an object whose coords are a list of Python floats
+    and whose mult, if given, is an int, and all the floats must sum to a
+    finite number, which they do only when each is finite.  Such values
+    pass as read; any other cloud is parsed point by point, which refuses
+    a bad value with its own message.
+    """
+    rows, mults = [], []
+    for p in points:
+        if type(p) is not dict:
+            return None
+        coords, mult = p.get("coords"), p.get("mult", 1)
+        if type(coords) is not list or type(mult) is not int:
+            return None
+        rows.append(tuple(coords))
+        mults.append(mult)
+    if not (set(map(type, itertools.chain.from_iterable(rows))) <= {float}
+            and math.isfinite(sum(itertools.chain.from_iterable(rows)))):
+        return None
+    return list(map(tuple.__new__, itertools.repeat(PointRecord), zip(rows, mults)))
+
+
 def cloud_from_obj(data: dict) -> WeightedPointCloud:
     data = _object(data, "a point cloud")
     mode = data["scalar"]
@@ -159,12 +184,15 @@ def cloud_from_obj(data: dict) -> WeightedPointCloud:
     dim, points = data["dim"], data["points"]
     if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValueError(f"dim must be an integer, got {dim!r:.40}")
-    records = []
-    for p in _list(points, "points"):
-        p = _object(p, "a point")
-        coords = _list(p["coords"], "coords")
-        records.append(PointRecord(tuple(parse_scalar(c, mode) for c in coords),
-                                   _parse_mult(p.get("mult", 1))))
+    points = _list(points, "points")
+    records = _plain_float_records(points) if mode == MODE_FLOAT else None
+    if records is None:
+        records = []
+        for p in points:
+            p = _object(p, "a point")
+            coords = _list(p["coords"], "coords")
+            records.append(PointRecord(tuple(parse_scalar(c, mode) for c in coords),
+                                       _parse_mult(p.get("mult", 1))))
     return WeightedPointCloud(dim, mode, tuple(records))
 
 

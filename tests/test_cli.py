@@ -402,6 +402,23 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, command, scalar, point):
     assert_usage_error(capsys)
 
 
+@pytest.mark.parametrize("point,message", [
+    ({"coords": [True, 1.0]}, "float scalars must be numbers, got True"),
+    ({"coords": ["nan", 1.0]}, "float scalars must be finite, got 'nan'"),
+    ({"coords": [10**400, 1.0]}, f"float scalars must be finite, got {10**400}"),
+    ({"coords": [1.0, 2.0, 3.0]}, "record of length 3 in a dim-2 cloud"),
+    ({"coords": {"x": 1.0}}, "coords must be a list, got {'x': 1.0}"),
+], ids=["coord-bool", "coord-nan-text", "coord-int-beyond-float", "coords-wrong-length",
+        "coords-object"])
+def test_float_reader_refusals_keep_their_messages(tmp_path, capsys, point, message):
+    # Each bad point follows a point of plain floats, which pass as read.
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"dim": 2, "scalar": "float", "points": [GOOD_POINT, point]}))
+    assert run(["cluster", str(src), "-k", "1", "-r", "1", "--heuristic",
+                "-o", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.fixture(scope="module")
 def rmis_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("rmis")
@@ -481,6 +498,11 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
                             ("--tol", "nan")]],
     (["cover", "{space_cloud}", "-k", "-1", "-o", "{out}"], "k must be >= 0"),
     (["verify", "{ds_inst}", "{cover}"], "hyperplane dimension differs from cloud"),
+    *[(["cluster", "{float_cloud}", "-k", "1", "-r", "1", f"--budget={value}", "-o", "{out}"],
+       f"--budget must be a finite number, got {float(value)}")
+      for value in ("nan", "inf", "-inf", "1e309")],
+    (["gen", "planted", "--noise", "nan", "-o", "{out}"],
+     "--noise must be a finite number, got nan"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "ds-cover-above-k", "plot-witness",
         "plot-fit-result", "plot-solution-list", "plot-nested-basis", "planted-k-zero",
@@ -491,7 +513,8 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
         "planted-n-zero", "cover-kernel-3d", "rmis-p-zero", "rmis-W-negative",
         "rmis-W-zero", "heuristic-restarts-zero", "heuristic-max-iter-zero",
         "heuristic-tol-zero", "heuristic-tol-nan", "cover-k-negative",
-        "ds-cover-wrong-dimension"])
+        "ds-cover-wrong-dimension", "budget-nan", "budget-inf", "budget-minus-inf",
+        "budget-beyond-float", "planted-noise-nan"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},

@@ -593,19 +593,30 @@ def assert_matches_reference(cloud, k, r, config):
     (2, 0, 4, 200, True), (2, 1, 2, 1000, False), (2, 1, 5, 9, True),
     (3, 0, 2, 50, False), (3, 1, 5, 1000, True), (3, 2, 3, 300, False),
     (4, 0, 5, 80, True), (4, 1, 3, 1000, False), (4, 2, 4, 500, True),
-    (4, 3, 2, 120, False),
+    (4, 3, 2, 120, False), (3, 2, 5, 2000, True),
 ])
 def test_heuristic_matches_reference_loop(d, r, k, n, with_mults):
     rng = np.random.default_rng(1000 * d + 100 * r + 10 * k + with_mults)
     mults = rng.integers(1, 5, size=n).tolist() if with_mults else None
     cloud = fcloud(rng.normal(size=(n, d)) * rng.uniform(0.5, 5.0), mults)
-    cfg = HeuristicConfig(restarts=6, max_iter=30, rng_seed=d + r + k)
+    cfg = HeuristicConfig(restarts=8, max_iter=30, rng_seed=d + r + k)
     assert_matches_reference(cloud, k, r, cfg)
 
 
 def test_heuristic_matches_reference_loop_planted():
     cloud, _, _ = planted_lines_cloud(1000, 5, 0.1, 4)
     assert_matches_reference(cloud, 5, 1, HeuristicConfig(restarts=8, rng_seed=4))
+
+
+@pytest.mark.parametrize("family", ["planted-2d", "random-3d"])
+def test_heuristic_matches_reference_loop_benchmark_shape(family):
+    # n = 5000, k = 5, r = 1 and 16 restarts, on the clouds the heuristic
+    # benchmark solves.
+    if family == "planted-2d":
+        cloud, _, _ = planted_lines_cloud(5000, 5, 0.1, 0)
+    else:
+        cloud = random_cloud(5000, 3, 1)
+    assert_matches_reference(cloud, 5, 1, HeuristicConfig(restarts=16, rng_seed=3))
 
 
 @pytest.mark.parametrize("k", [4, 5])

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcover.errors import AffineDependenceError, ScalarModeError
-from flatcover.fitting import best_fit_flat, fit_hyperplane_exact
+from flatcover.fitting import (
+    EIG_CLAMP,
+    _sorted_eig,
+    best_fit_flat,
+    centred_scatter,
+    fit_hyperplane_exact,
+    fit_points,
+    fit_scatter,
+)
 from flatcover.geometry import (
     MODE_FLOAT,
     MODE_RATIONAL,
@@ -36,6 +44,79 @@ def angle_sweep_cost(cloud, steps=200_000):
     quad = (nx * nx * m2[0, 0] + 2 * nx * ny * m2[0, 1] + ny * ny * m2[1, 1])
     lin = nx * m1[0] + ny * m1[1]
     return float(np.min(quad - lin * lin / sw))
+
+
+def sorted_eig_loop(S):
+    """Oracle for _sorted_eig on one matrix: the column loop as first written."""
+    w, V = np.linalg.eigh(S)
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    V = V[:, order]
+    for j in range(V.shape[1]):
+        col = V[:, j]
+        idx = int(np.argmax(np.abs(col)))
+        if col[idx] < 0:
+            V[:, j] = -col
+    w[(w < 0) & (w >= -EIG_CLAMP)] = 0.0
+    return w, V
+
+
+def fit_loop(X, w, r):
+    """Oracle for fit_points on one block: (spectrum, basis, offset) as first written."""
+    C = (w @ X) / w.sum()
+    D = X - C
+    evals, evecs = sorted_eig_loop((D * w[:, None]).T @ D)
+    B = evecs[:, :r]
+    return evals, B, C - B @ (B.T @ C) if r else C.copy()
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (so -0.0 differs from 0.0)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
+def tie_heavy_matrices(d):
+    """I, diag(2, 2, 1, ...), the zero matrix and a rank-1 matrix."""
+    v = np.arange(1.0, d + 1.0)
+    return [np.eye(d), np.diag([2.0, 2.0] + [1.0] * (d - 2))[:d, :d], np.zeros((d, d)),
+            np.outer(v, v)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sorted_eig_stack_matches_each_matrix(d):
+    rng = np.random.default_rng(d)
+    A = rng.normal(size=(20, d, d))
+    mats = [*(A + A.transpose(0, 2, 1)), *tie_heavy_matrices(d)]
+    stack = np.stack(mats)
+    ws, Vs = _sorted_eig(stack)
+    w2, V2 = _sorted_eig(stack.reshape(2, -1, d, d))
+    w2, V2 = w2.reshape(-1, d), V2.reshape(-1, d, d)
+    for i, M in enumerate(mats):
+        w0, V0 = sorted_eig_loop(M)
+        for w, V in (_sorted_eig(M), (ws[i], Vs[i]), (w2[i], V2[i])):
+            assert same_bits(w, w0) and same_bits(V, V0), (i, M)
+            # The loop's V[:, order] is Fortran-ordered, and matmuls round
+            # by layout.
+            assert V.flags.f_contiguous
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_fits_match_one_block_fits(d):
+    rng = np.random.default_rng(10 + d)
+    for m in (1, 2, d + 1, 40):
+        X = rng.normal(size=(5, m, d)) * 10.0 ** rng.uniform(-2, 3) + rng.normal(size=d)
+        W = rng.integers(1, 4, size=(5, m)).astype(float)
+        for r in range(d):
+            evals, B, offset = fit_scatter(*centred_scatter(X, W), r)
+            for t in range(5):
+                e0, B0, o0 = fit_loop(X[t], W[t], r)
+                assert same_bits(evals[t], e0) and same_bits(B[t], B0)
+                assert same_bits(offset[t], o0)
+                res = fit_points(X[t], W[t], r)
+                assert same_bits(res.spectrum, e0) and same_bits(res.flat.offset, o0)
+                assert same_bits(res.flat.basis_array(), B0)
 
 
 def test_centroid_single_point():

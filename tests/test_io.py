@@ -5,7 +5,7 @@ import pytest
 
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph, random_cloud
-from flatcover.geometry import MODE_RATIONAL, WeightedPointCloud
+from flatcover.geometry import MODE_RATIONAL, PointRecord, WeightedPointCloud
 from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
 from oracles import path_graph, ring_color_graph
 
@@ -41,6 +41,24 @@ def test_cloud_readers_reject_bad_values():
         fio.cloud_from_csv("1,2,1.5\n", has_mult=True)
     assert fio.cloud_from_csv("1,2,3\n", has_mult=True).records[0].mult == 3
     assert fio.cloud_from_csv("1, 2, 3\n", has_mult=True).records[0].mult == 3
+
+
+def test_float_reader_reads_numbers_as_before():
+    # Int coordinates, numeric text and a whole float multiplicity are parsed
+    # to the cloud that plain floats and int multiplicities give as read.
+    records = (((1.0, -3.0), 1), ((1.5, -2.0), 2), ((0.5, 4.0), 3))
+    mixed = [{"coords": [1, -3]}, {"coords": ["1.5", "-2"], "mult": 2.0},
+             {"coords": [0.5, 4.0], "mult": 3}]
+    plain = [{"coords": list(coords), "mult": mult} for coords, mult in records]
+    for points in (mixed, plain):
+        cloud = fio.cloud_from_obj({"dim": 2, "scalar": "float", "points": points})
+        assert cloud.records == records
+        assert all(type(rec) is PointRecord and type(rec.mult) is int
+                   and all(type(c) is float for c in rec.coords) for rec in cloud.records)
+    # Finite floats whose sum overflows are parsed, and read as they are.
+    big = fio.cloud_from_obj({"dim": 2, "scalar": "float",
+                              "points": [{"coords": [1.5e308, 1.5e308]}]})
+    assert big.records == (((1.5e308, 1.5e308), 1),)
 
 
 def test_cloud_json_roundtrip_float():
