@@ -85,6 +85,10 @@ def random_exact_cloud(n_points: int, dim: int, seed: int, *,
 
 def matching_color_graph(ell: int, nu: int) -> ColoredGraph:
     """Color classes paired up; w_j of class 2t matches w_j of class 2t+1 (q = 1)."""
+    if ell < 2:
+        raise ValueError(f"matching graph needs ell >= 2 color classes, got {ell}")
+    if nu < 1:
+        raise ValueError(f"matching graph needs nu >= 1 vertices per class, got {nu}")
     if ell % 2:
         raise ValueError("matching graph needs an even number of classes")
     colors = tuple(tuple(range(i * nu, (i + 1) * nu)) for i in range(ell))
@@ -114,13 +118,9 @@ def _is_connected(g: ColoredGraph) -> bool:
         return True
     seen = {0}
     frontier = [0]
-    adj = {v: set() for v in range(g.n_vertices)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
     while frontier:
         v = frontier.pop()
-        for u in adj[v]:
+        for u in g.adjacency[v]:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)

@@ -11,8 +11,8 @@ Point clouds live in one of two scalar regimes:
 
 Affine flats are float-only: the clustering objective over r-flats is float
 numerics throughout.  The exact objects are :class:`Hyperplane` for covers
-and the axis-parallel ``reductions.AxisLine``, whose exact line cost is
-``reductions.exact_cloud_cost``.  No operation silently mixes regimes; a
+and the axis-parallel ``reductions.AxisLine``, whose exact cost on the
+planar gadget is ``reductions.exact_solution_cost``.  No operation silently mixes regimes; a
 rational point or cloud against a flat raises :class:`ScalarModeError`.
 """
 
@@ -317,8 +317,8 @@ def dist2_arrays(X: np.ndarray, offset: np.ndarray, B: np.ndarray) -> np.ndarray
 def total_cost(cloud: WeightedPointCloud, flats: Sequence[AffineFlat]) -> float:
     """Sum over records of multiplicity times squared distance to the nearest flat.
 
-    The cloud must be float-mode; exact costs of axis-parallel lines on a
-    rational cloud are ``reductions.exact_cloud_cost``.
+    The cloud must be float-mode; the exact cost of axis-parallel lines on
+    the planar gadget is ``reductions.exact_solution_cost``.
     """
     flats = list(flats)
     if not flats:

@@ -14,8 +14,9 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .geometry import (
@@ -105,43 +106,68 @@ def _pair(values, what: str) -> tuple:
 # point clouds
 
 
-def _point_objs(cloud: WeightedPointCloud):
-    """The written points of a cloud's records, one at a time.
+def _coord_text(mode: str, den: int):
+    """How the writer spells a coordinate.
 
-    Rational numerators are written over the cloud's den as "num/den" text,
-    each distinct value converted once: a gadget's records share few
-    coordinates, and its numbers run to hundreds of digits.  Floats are not
-    memoised, since 0.0 and -0.0 would share a key.
+    A float is written as itself.  A rational numerator is written over den
+    as "num/den" text, each distinct value converted once: a gadget's
+    records share few coordinates, and its numbers run to hundreds of
+    digits.  Floats are not memoised, since 0.0 and -0.0 would share a key.
     """
-    den = cloud.den
-    text = (float if cloud.mode == MODE_FLOAT else
-            functools.cache(str if den == 1 else lambda c: str(Fraction(c, den))))
-    return ({"coords": list(map(text, coords)), "mult": mult}
-            for coords, mult in cloud.records)
+    if mode == MODE_FLOAT:
+        return float
+    return functools.cache(str if den == 1 else lambda c: str(Fraction(c, den)))
+
+
+def rows_to_obj(dim: int, mode: str, rows: Iterable, den: int = 1) -> dict:
+    """The written form of (coords, mult) rows, such as a cloud's records."""
+    text = _coord_text(mode, den)
+    return {"dim": dim, "scalar": mode,
+            "points": [{"coords": list(map(text, coords)), "mult": mult}
+                       for coords, mult in rows]}
 
 
 def cloud_to_obj(cloud: WeightedPointCloud) -> dict:
-    return {"dim": cloud.dim, "scalar": cloud.mode, "points": list(_point_objs(cloud))}
+    return rows_to_obj(cloud.dim, cloud.mode, cloud.records, cloud.den)
 
 
-def _is_written_form(obj, cloud: WeightedPointCloud | None) -> bool:
-    """Whether obj is the JSON value the writer writes for a rational cloud
-    (null for None), compared a point at a time so that the written form is
-    never held whole.  Python's == also takes true for 1 and 2.0 for 2; the
-    only numbers in the written form are dim and the multiplicities (the
-    coordinates are text), so those must be JSON integers as well.  Each
-    point is compared before its mult is looked up, so a point that is not
-    an object just differs."""
-    if cloud is None:
+def _is_written_form(obj, dim: int, rows: Iterable | None, den: int = 1) -> bool:
+    """Whether obj is the JSON value :func:`rows_to_obj` writes for rational
+    rows (null for None).
+
+    The points are compared column by column: every point an object with
+    just "coords" and "mult", every coords a list of dim texts, and the
+    texts and the multiplicities, in order, those of the rows.  Python's ==
+    also takes true for 1 and 2.0 for 2; the only numbers in the written form
+    are dim and the multiplicities (the coordinates are text), so those must
+    be JSON integers as well."""
+    if rows is None:
         return obj is None
     if not (isinstance(obj, dict) and obj.keys() == {"dim", "scalar", "points"}):
         return False
     points = obj["points"]
-    return (type(obj["dim"]) is int and obj["dim"] == cloud.dim
-            and obj["scalar"] == cloud.mode
-            and isinstance(points, list) and len(points) == len(cloud.records)
-            and all(p == q and type(p["mult"]) is int
-                    for p, q in zip(points, _point_objs(cloud))))
+    if not (type(obj["dim"]) is int and obj["dim"] == dim
+            and obj["scalar"] == MODE_RATIONAL and type(points) is list):
+        return False
+    rows = list(rows)
+    if len(points) != len(rows):
+        return False
+    if not rows:
+        return True
+    if set(map(type, points)) != {dict} or set(map(len, points)) != {2}:
+        return False
+    try:
+        got_coords = list(map(operator.itemgetter("coords"), points))
+        got_mults = list(map(operator.itemgetter("mult"), points))
+    except KeyError:
+        return False
+    text = _coord_text(MODE_RATIONAL, den)
+    return (set(map(type, got_coords)) == {list} and set(map(len, got_coords)) == {dim}
+            and set(map(type, got_mults)) == {int}
+            and got_mults == list(map(operator.itemgetter(1), rows))
+            and (list(itertools.chain.from_iterable(got_coords))
+                 == list(map(text, itertools.chain.from_iterable(
+                     map(operator.itemgetter(0), rows))))))
 
 
 def _parse_mult(value) -> int:
@@ -337,8 +363,8 @@ def rmis_instance_to_obj(inst: RmisInstance) -> dict:
         "B": str(inst.B),
         "params": {"p": str(par.p), "W": str(par.W), "d_s": str(par.d_s),
                    "d_l": str(par.d_l), "faithful": par.faithful},
-        "cloud": cloud_to_obj(inst.cloud) if inst.materialized else None,
-        "meta": {"graph": graph_to_obj(inst.meta["graph"]),
+        "cloud": rows_to_obj(2, MODE_RATIONAL, inst.rows()) if inst.materialized else None,
+        "meta": {"graph": graph_to_obj(inst.graph),
                  "warnings": list(inst.meta["warnings"])},
     }
 
@@ -362,7 +388,8 @@ def instance_from_obj(data: dict):
     if kind == "ds_cover":
         inst = ds_to_hyperplane_cover(graph_from_obj(data["graph"]),
                                       parse_int(data["k"], "k"), allow_trivial=True)
-        source = "graph and k"
+        source, note = "graph and k", ""
+        written = _is_written_form(data["cloud"], inst.dim, inst.cloud.records, inst.cloud.den)
     elif kind == "rmis":
         par = _object(data["params"], "params")
         faithful = par["faithful"]
@@ -372,13 +399,14 @@ def instance_from_obj(data: dict):
             name: parse_int(par[name], name) for name in ("p", "W", "d_s", "d_l")}
         graph = graph_from_obj(_object(data["meta"], "meta")["graph"])
         inst = rmis_to_line_clustering(graph, faithful, constants=constants)
-        source = "graph and params"
+        source, note = "graph and params", ("" if inst.materialized else (
+            f" (null: more than {MATERIALIZE_RECORD_LIMIT} records are only kept "
+            "counts-only)"))
+        written = _is_written_form(data["cloud"], 2,
+                                   inst.rows() if inst.materialized else None)
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
-    if not _is_written_form(data["cloud"], inst.cloud):
-        counts_only = ("" if inst.cloud is not None else
-                       f" (null: more than {MATERIALIZE_RECORD_LIMIT} records are only "
-                       "kept counts-only)")
+    if not written:
         raise ValueError(f"the instance's cloud differs from the one its {source} "
-                         f"build{counts_only}")
+                         f"build{note}")
     return inst

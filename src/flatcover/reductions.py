@@ -21,23 +21,26 @@ Everything else is derived from those: a Dominating Set instance's vertex
 groups from d and k', and the gadget's k, budget, theta tables and line and
 frame coordinates from its parameters.  The two builders are the only source
 of an instance: a file is read back by rebuilding it from its graph and
-parameters, so the rebuild is the one check of its records.  Both builders
-hold their records in one point cloud, which is written, compared with a
-file and costed as it is.
+parameters, so the rebuild is the one check of its records.  A Dominating
+Set instance holds its records in one point cloud.  The gadget yields its
+records as ((x, y), mult) rows, which are written and compared with a file
+as they come, and is priced by family from its parameters and graph, so no
+command builds its point cloud.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 from .cover import scaled_planes, verify_cover
-from .errors import GuardLimitError, IntegrityError, ScalarModeError
+from .errors import GuardLimitError, IntegrityError
 from .geometry import (
     MODE_RATIONAL,
     Hyperplane,
@@ -92,15 +95,20 @@ class ColoredGraph:
                     raise ValueError("edge inside a color class")
             object.__setattr__(self, "colors", classes)
 
-    def degree_map(self) -> dict:
-        deg = {v: 0 for v in range(self.n_vertices)}
+    @cached_property
+    def adjacency(self) -> tuple:
+        """Each vertex's neighbours as a frozenset, built once from the edges."""
+        adj = [set() for _ in range(self.n_vertices)]
         for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+            adj[u].add(v)
+            adj[v].add(u)
+        return tuple(map(frozenset, adj))
+
+    def degree_map(self) -> dict:
+        return dict(enumerate(map(len, self.adjacency)))
 
     def neighbors(self, v: int) -> set:
-        return {u if w == v else w for u, w in self.edges if v in (u, w)}
+        return set(self.adjacency[v])
 
     def closed_neighborhood(self, v: int) -> set:
         return self.neighbors(v) | {v}
@@ -323,24 +331,24 @@ def gadget_tables(par: RmisParameters) -> GadgetTables:
 
 @dataclass(frozen=True)
 class RmisInstance:
-    """The gadget's records, its parameters and its source.
+    """The gadget: its parameters and its colored source graph.
 
-    ``cloud`` holds the records, planar with integer coordinates, and is
-    None when the gadget is kept counts-only.  ``meta`` holds the colored
-    ``graph``, the relaxed-mode ``warnings``, the builder's
-    ``record_estimate`` and, for a materialized gadget, the
-    ``family_slices`` (record ranges of F, X, Z_h, Z_v).  Everything else is
-    a function of ``params``: k = 2*ell+4, the theta tables, the budget B and
-    the gadget's coordinates.
+    Everything else is a function of these two: k = 2*ell+4, the theta
+    tables, the budget B, the gadget's coordinates and its records, which
+    :meth:`rows` yields in file order.  ``meta`` holds the relaxed-mode
+    ``warnings``, the builder's ``record_estimate`` and, when that is at most
+    MATERIALIZE_RECORD_LIMIT, the ``family_slices`` (record ranges of F, X,
+    Z_h, Z_v).  A larger gadget is counts-only: it is written without its
+    records and priced by family, like any other.
     """
 
-    cloud: Optional[WeightedPointCloud]
     params: RmisParameters
+    graph: ColoredGraph
     meta: dict = field(compare=False)
 
     @property
     def materialized(self) -> bool:
-        return self.cloud is not None
+        return self.meta["record_estimate"] <= MATERIALIZE_RECORD_LIMIT
 
     @property
     def k(self) -> int:
@@ -357,6 +365,76 @@ class RmisInstance:
     @cached_property
     def gadget(self) -> GadgetTables:
         return gadget_tables(self.params)
+
+    @cached_property
+    def cloud(self) -> Optional[WeightedPointCloud]:
+        """The records as one point cloud, built on first use; None when the
+        gadget is counts-only."""
+        if not self.materialized:
+            return None
+        return WeightedPointCloud(2, MODE_RATIONAL,
+                                  tuple(itertools.starmap(PointRecord, self.rows())))
+
+    def rows(self):
+        """The records as ((x, y), mult) rows, in file order: F, X, Z_h, Z_v."""
+        yield from self._frame_rows()
+        yield from self._vertex_rows()
+        yield from self._stack_rows()
+
+    def _frame_rows(self):
+        """F: two grids, with a stack of corner_mult at each of their eight
+        corners on the fixed lines."""
+        gad = self.gadget
+        outer, half = gad.gh_cols[-1], gad.half
+        corners_h = {(x, y) for x in (-outer, outer) for y in (half, -half)}
+        corners_v = {(x, y) for x in (half, -half) for y in (-outer, outer)}
+        for ys, xs, corners in ((gad.gh_rows, gad.gh_cols, corners_h),
+                                (gad.gv_rows, gad.gv_cols, corners_v)):
+            for y in ys:
+                for x in xs:
+                    yield (x, y), (gad.corner_mult if (x, y) in corners else 1)
+
+    def _vertex_order(self) -> tuple:
+        """The vertices class by class, which is the order of X's rows and of
+        each row's columns, and each vertex's position in it."""
+        order = [u for cls in self.graph.colors for u in cls]
+        return order, {u: t for t, u in enumerate(order)}
+
+    def _vertex_rows(self):
+        """X: row u, at u's height h_y, holds a stack of p for every vertex
+        u2.  Vertices conflict when adjacent or distinct of one color; the
+        stack sits on u2's conflict line s_x when they conflict and on its
+        line v_x otherwise."""
+        gad, nu, p = self.gadget, self.params.nu, self.params.p
+        order, pos = self._vertex_order()
+        v_all, s_all = _flat(gad.v_x), _flat(gad.s_x)
+        for t, (u, y) in enumerate(zip(order, _flat(gad.h_y))):
+            xs = v_all.copy()
+            lo = t - t % nu
+            xs[lo:lo + nu] = s_all[lo:lo + nu]
+            xs[t] = v_all[t]
+            for u2 in self.graph.adjacency[u]:
+                xs[pos[u2]] = s_all[pos[u2]]
+            yield from zip(zip(xs, itertools.repeat(y)), itertools.repeat(p))
+
+    def _stack_rows(self):
+        """Z_h, a stack of W + phi_j beside each horizontal line, then Z_v, a
+        stack of W on each conflict line, each split across four spots."""
+        gad, W = self.gadget, self.params.W
+        half = gad.half
+        for row in gad.h_y:
+            for y, phi in zip(row, self.tables.phi):
+                for x, w in _split_spots(W + phi, (-half - 1, -half + 1, half - 1, half + 1)):
+                    yield (x, y), w
+        z_v = _split_spots(W, (half + 1, half - 1, -half + 1, -half - 1))
+        for row in gad.s_x:
+            for x in row:
+                for y, w in z_v:
+                    yield (x, y), w
+
+
+def _flat(table: tuple) -> list:
+    return [c for row in table for c in row]
 
 
 def build_theta_tables(nu: int, p: int, ell: int) -> ThetaTables:
@@ -391,15 +469,19 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
     to their defining powers of n.  Relaxed mode only requires nu even,
     permits explicit constant overrides for desk-scale experiments, and
     records every waived assumption in the instance metadata; such instances
-    carry no hardness guarantee and are labeled accordingly.  The records are
-    built exactly when their estimated count is at most
-    MATERIALIZE_RECORD_LIMIT; above it the instance is counts-only.
+    carry no hardness guarantee and are labeled accordingly.  No record is
+    built here.  The gadget is materialized, written with its records,
+    exactly when their estimated count is at most MATERIALIZE_RECORD_LIMIT;
+    above it the instance is counts-only.
     """
     if g.colors is None:
         raise ValueError("the source graph needs a color partition")
     ell = len(g.colors)
     nu = len(g.colors[0])
     n = g.n_vertices
+    if nu < 2:
+        raise ValueError(f"nu must be at least 2 (the gadget needs two lines per "
+                         f"bundle), got {nu}")
     q = g.uniform_degree()
     warnings = []
     if faithful:
@@ -445,71 +527,19 @@ def rmis_to_line_clustering(g: ColoredGraph, faithful: bool = False, *,
                             faithful=faithful)
     k = 2 * ell + 4
     n_records_estimate = (k * k + 2 * k) + n * n + 4 * n + 4 * n
-    meta = {"graph": g, "warnings": warnings, "record_estimate": n_records_estimate}
-    if n_records_estimate > MATERIALIZE_RECORD_LIMIT:
-        return RmisInstance(cloud=None, params=params, meta=meta)
-
-    gad = gadget_tables(params)
-    phi = build_theta_tables(nu, p, ell).phi
-    half, h_y, v_x, s_x = gad.half, gad.h_y, gad.v_x, gad.s_x
-
-    records: list[PointRecord] = []
-    outer = gad.gh_cols[-1]
-    corners_h = {(x, y) for x in (-outer, outer) for y in (half, -half)}
-    corners_v = {(x, y) for x in (half, -half) for y in (-outer, outer)}
-    f_start = len(records)
-    for y in gad.gh_rows:
-        for x in gad.gh_cols:
-            mult = gad.corner_mult if (x, y) in corners_h else 1
-            records.append(PointRecord((x, y), mult))
-    for y in gad.gv_rows:
-        for x in gad.gv_cols:
-            mult = gad.corner_mult if (x, y) in corners_v else 1
-            records.append(PointRecord((x, y), mult))
-    f_end = len(records)
-
-    # Vertices conflict when adjacent or distinct of one color.  The stack
-    # for (u, u2) sits on u2's conflict line s_x when they conflict and on
-    # its line v_x otherwise.
-    conflicts = {u: (set(cls) | g.neighbors(u)) - {u} for cls in g.colors for u in cls}
-    columns = [(u2, s_x[i2][j2], v_x[i2][j2])
-               for i2, cls in enumerate(g.colors) for j2, u2 in enumerate(cls)]
-    x_start = len(records)
-    for i, cls in enumerate(g.colors):
-        for j, u in enumerate(cls):
-            y, conflicting = h_y[i][j], conflicts[u]
-            records.extend(PointRecord((s if u2 in conflicting else v, y), p)
-                           for u2, s, v in columns)
-    x_end = len(records)
-
-    zh_start = len(records)
-    for i in range(1, ell + 1):
-        for j in range(1, nu + 1):
-            y = h_y[i - 1][j - 1]
-            spots = [-half - 1, -half + 1, half - 1, half + 1]
-            records.extend(PointRecord((x, y), w)
-                           for x, w in _split_spots(W + phi[j - 1], spots))
-    zh_end = len(records)
-
-    zv_start = len(records)
-    for i in range(1, ell + 1):
-        for j in range(1, nu + 1):
-            x = s_x[i - 1][j - 1]
-            spots = [half + 1, half - 1, -half + 1, -half - 1]
-            records.extend(PointRecord((x, y), w) for y, w in _split_spots(W, spots))
-    zv_end = len(records)
-
-    meta["family_slices"] = {
-        "F": (f_start, f_end),
-        "X": (x_start, x_end),
-        "Z_h": (zh_start, zh_end),
-        "Z_v": (zv_start, zv_end),
-    }
-    cloud = WeightedPointCloud(2, MODE_RATIONAL, tuple(records))
-    return RmisInstance(cloud=cloud, params=params, meta=meta)
+    meta = {"warnings": warnings, "record_estimate": n_records_estimate}
+    if n_records_estimate <= MATERIALIZE_RECORD_LIMIT:
+        z_h = ell * sum(len(_split_spots(W + phi, range(4)))
+                        for phi in build_theta_tables(nu, p, ell).phi)
+        sizes = {"F": k * k + 2 * k, "X": n * n, "Z_h": z_h,
+                 "Z_v": ell * nu * len(_split_spots(W, range(4)))}
+        ends = list(itertools.accumulate(sizes.values()))
+        meta["family_slices"] = {name: (end - size, end)
+                                 for (name, size), end in zip(sizes.items(), ends)}
+    return RmisInstance(params=params, graph=g, meta=meta)
 
 
-def _split_spots(total: int, spots: list):
+def _split_spots(total: int, spots) -> list:
     """Divide a stack across four spots, remainder to the earliest spots."""
     base, rem = divmod(total, 4)
     out = []
@@ -542,44 +572,67 @@ def independent_set_to_lines(inst: RmisInstance,
     return lines
 
 
-def exact_cloud_cost(cloud: WeightedPointCloud, lines: Sequence[AxisLine]) -> Fraction:
-    """Exact sum of multiplicity * squared distance to the nearest line.
+def exact_solution_cost(inst: RmisInstance, lines: Sequence[AxisLine]) -> Fraction:
+    """Exact sum over the gadget's records of multiplicity times squared
+    distance to the nearest line, priced by family without the records.
 
-    Lines must be axis-aligned so squared distances stay rational.  Gaps are
-    measured on the cloud's numerators (integers for integer lines), against
-    line coordinates scaled by den and sorted for bisection.
+    Against axis-parallel lines a record at (x, y) costs mult * min(dy^2,
+    dx^2), with dy the distance from y to the nearest horizontal line and dx
+    from x to the nearest vertical one.  F, Z_h and Z_v have O(ell^2 +
+    ell*nu) rows and are summed directly.  X has n^2 rows of weight p: row u,
+    with a_u = dy^2 of its height, holds one record per vertex u2, on u2's
+    conflict line (dx^2 = bs) when they conflict and on its line v_x (bv)
+    otherwise.  So row u costs p * [sum over all u2 of min(a_u, bv) + sum
+    over u's conflicts of (min(a_u, bs) - min(a_u, bv))].  Each sum of
+    min(a, b) over a table is one bisection into the sorted table and a
+    prefix sum: one table of every bv, and one of bs and one of bv per color
+    class, less u's own term; u's q neighbours are added one by one.  That
+    is O(n log nu + n*q), so a counts-only gadget is priced like any other.
     """
-    if cloud.mode != MODE_RATIONAL:
-        raise ScalarModeError("exact cost requires a rational-mode cloud")
-    if cloud.dim != 2:
-        raise ValueError("axis-aligned line cost is defined in the plane")
     if not lines:
         raise ValueError("need at least one line")
-    den, records = cloud.den, cloud.records
-    hs, vs = (sorted(line.c * den for line in lines if line.axis == axis) for axis in "hv")
-    # A gadget's records share few distinct coordinates: bisect once for each.
-    h_gap = {y: _nearest_gap(hs, y) for y in {c[1] for c, _ in records}}
-    v_gap = {x: _nearest_gap(vs, x) for x in {c[0] for c, _ in records}}
-    total = 0
-    for (x, y), mult in records:
-        h, v = h_gap[y], v_gap[x]
-        total += mult * h * h if h < v else mult * v * v
-    return Fraction(total, den * den)
+    hs, vs = (sorted(line.c for line in lines if line.axis == axis) for axis in "hv")
+    dy2, dx2 = (cache(partial(_square_gap, cs)) for cs in (hs, vs))
+    total = sum(mult * min(dy2(y), dx2(x))
+                for (x, y), mult in itertools.chain(inst._frame_rows(), inst._stack_rows()))
+
+    gad, nu = inst.gadget, inst.params.nu
+    bv, bs = ([dx2(x) for x in _flat(table)] for table in (gad.v_x, gad.s_x))
+    all_v = _min_sums(bv)
+    class_v, class_s = ([_min_sums(b[lo:lo + nu]) for lo in range(0, len(b), nu)]
+                        for b in (bv, bs))
+    order, pos = inst._vertex_order()
+    x_total = 0
+    for t, (u, y) in enumerate(zip(order, _flat(gad.h_y))):
+        a = dy2(y)
+        i = t // nu
+        row = (all_v(a) + class_s[i](a) - min(a, bs[t])
+               - class_v[i](a) + min(a, bv[t]))
+        for u2 in inst.graph.adjacency[u]:
+            t2 = pos[u2]
+            row += min(a, bs[t2]) - min(a, bv[t2])
+        x_total += row
+    return Fraction(total + inst.params.p * x_total)
 
 
-def _nearest_gap(values: list, x: int):
-    """Distance from x to the nearest entry of a sorted list (inf when it is empty)."""
-    i = bisect.bisect_left(values, x)
-    if i == len(values):
-        return x - values[-1] if values else math.inf
-    return min(values[i] - x, x - values[i - 1]) if i else values[i] - x
+def _square_gap(values: list, c):
+    """Squared distance from c to the nearest entry of a sorted list (inf
+    when it is empty)."""
+    i = bisect.bisect_left(values, c)
+    return min(((c - v) ** 2 for v in values[max(i - 1, 0):i + 1]), default=math.inf)
 
 
-def exact_solution_cost(inst: RmisInstance, lines: Sequence[AxisLine]) -> Fraction:
-    """exact_cloud_cost of the gadget's records."""
-    if not inst.materialized:
-        raise ValueError("instance was built counts-only; re-generate materialized")
-    return exact_cloud_cost(inst.cloud, lines)
+def _min_sums(values: list):
+    """The function a -> sum of min(a, b) over values, by one bisection into
+    the sorted values and their prefix sums."""
+    b = sorted(values)
+    prefix = list(itertools.accumulate(b, initial=0))
+
+    def min_sum(a):
+        i = bisect.bisect_left(b, a)
+        # a is inf only when no line is horizontal, and then no b is inf.
+        return prefix[i] + a * (len(b) - i) if i < len(b) else prefix[i]
+    return min_sum
 
 
 def desanitize_multiset(inst: RmisInstance):
@@ -593,7 +646,8 @@ def desanitize_multiset(inst: RmisInstance):
     den).  Returns it together with the adjusted budget B' = B + 1.
     """
     if not inst.materialized:
-        raise ValueError("instance was built counts-only; re-generate materialized")
+        raise ValueError(f"a counts-only gadget has more than {MATERIALIZE_RECORD_LIMIT} "
+                         "records, too many to desanitize")
     B = inst.B
     if B <= 0:
         raise ValueError("delta = 1/(3*B*N) is undefined for B = 0")

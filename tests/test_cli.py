@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from flatcover.cli import build_parser, main
 from flatcover import io as fio
 from flatcover.generators import matching_color_graph
-from flatcover.geometry import WeightedPointCloud
+from flatcover.geometry import PointRecord, WeightedPointCloud
 from flatcover.reductions import ds_to_hyperplane_cover, rmis_to_line_clustering
 from oracles import path_graph
 
@@ -503,6 +503,13 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
       for value in ("nan", "inf", "-inf", "1e309")],
     (["gen", "planted", "--noise", "nan", "-o", "{out}"],
      "--noise must be a finite number, got nan"),
+    (["gen", "matching-graph", "--ell", "2", "--nu", "0", "-o", "{out}"],
+     "matching graph needs nu >= 1 vertices per class, got 0"),
+    (["gen", "matching-graph", "--ell", "0", "-o", "{out}"],
+     "matching graph needs ell >= 2 color classes, got 0"),
+    (["gen", "matching-graph", "--ell", "-2", "-o", "{out}"],
+     "matching graph needs ell >= 2 color classes, got -2"),
+    (["reduce-rmis", "{empty_classes}", "-o", "{out}"], "nu must be at least 2"),
 ], ids=["cover-float-cloud", "csv-random-exact", "csv-matching-graph", "ds-selection",
         "rmis-cover", "rmis-dominating-set", "ds-cover-above-k", "plot-witness",
         "plot-fit-result", "plot-solution-list", "plot-nested-basis", "planted-k-zero",
@@ -514,13 +521,16 @@ def test_verify_names_missing_field(tmp_path, capsys, rmis_files):
         "rmis-W-zero", "heuristic-restarts-zero", "heuristic-max-iter-zero",
         "heuristic-tol-zero", "heuristic-tol-nan", "cover-k-negative",
         "ds-cover-wrong-dimension", "budget-nan", "budget-inf", "budget-minus-inf",
-        "budget-beyond-float", "planted-noise-nan"])
+        "budget-beyond-float", "planted-noise-nan", "matching-nu-zero",
+        "matching-ell-zero", "matching-ell-negative", "rmis-nu-zero"])
 def test_refused_combinations_exit_2(tmp_path, capsys, argv, message):
     cases = reduction_cases()
     docs = {"float_cloud": {"dim": 2, "scalar": "float", "points": [{"coords": [0.0, 0.0]}]},
             "ds_inst": cases["verify-ds"][1]["inst"],
             "rmis_inst": cases["verify-rmis"][1]["inst"],
             "rmis_graph": cases["reduce-rmis"][1]["graph"],
+            # Two empty color classes: a 0-vertex graph is regular of no degree.
+            "empty_classes": {"n": 0, "edges": [], "colors": [[], []]},
             "selection": {"kind": "selection", "indices": [1, 2]},
             "cover": {"kind": "cover", "hyperplanes": [["0", "1", "0"]]},
             "dominating_set": {"kind": "dominating_set", "vertices": [0]},
@@ -1028,27 +1038,23 @@ def test_verify_compares_cloud_numbers_by_json_type(tmp_path, capsys, case, node
     assert "cloud differs" in assert_usage_error(capsys)
 
 
-def test_rmis_commands_build_one_cloud_each(tmp_path, capsys, monkeypatch):
-    # reduce-rmis builds the gadget's records into one cloud and writes it;
-    # verify rebuilds that one cloud, compares it with the file and costs it.
-    built = []
-    post_init = WeightedPointCloud.__post_init__
+def test_rmis_commands_build_no_records(tmp_path, capsys, monkeypatch):
+    # reduce-rmis writes the gadget's rows as they come, and verify compares
+    # them with the file and prices the selection by family: neither builds
+    # a PointRecord or a point cloud.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record or cloud was built")
 
-    def counting_post_init(self):
-        built.append(len(self.records))
-        post_init(self)
-
-    monkeypatch.setattr(WeightedPointCloud, "__post_init__", counting_post_init)
+    monkeypatch.setattr(PointRecord, "__new__", refuse)
+    monkeypatch.setattr(WeightedPointCloud, "__post_init__", refuse)
     gpath, ipath, wpath = (tmp_path / name for name in ("graph.json", "inst.json", "w.json"))
     gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8))))
     assert run(["reduce-rmis", str(gpath), "-o", str(ipath)]) == 0
-    assert built == [464]
+    assert len(read_json(ipath)["cloud"]["points"]) == 464
     for indices, code, cost in (((4, 5), 0, COST_4_5), ((4, 4), 1, COST_4_4)):
-        built.clear()
         wpath.write_text(json.dumps({"kind": "selection", "indices": list(indices)}))
         assert run(["verify", str(ipath), str(wpath)]) == code
         assert capsys.readouterr().out.startswith(cost)
-        assert built == [464]
 
 
 def test_rmis_graph_must_be_regular(tmp_path, capsys):
@@ -1090,18 +1096,44 @@ def test_verify_refuses_a_cloud_its_graph_keeps_counts_only(tmp_path, capsys):
     assert "only kept counts-only" in assert_usage_error(capsys)
 
 
+# verify's cost line, as it prints it.
+COST_LINE = re.compile(r"(PASS|FAIL)  cost <= B \((\d+) vs (\d+)\)")
+
+
 def test_rmis_counts_only_gadget_at_nu_8000_is_quick(tmp_path, capsys):
-    # Building and reading back the counts-only gadget is linear in nu;
-    # verify then refuses to cost it.
+    # Building and reading back the counts-only gadget is linear in nu, and
+    # verify prices a selection by family, O(n log nu) with no records.
     gpath, ipath = tmp_path / "graph.json", tmp_path / "inst.json"
     gpath.write_text(json.dumps(fio.graph_to_obj(matching_color_graph(2, 8000))))
     t0 = time.perf_counter()
     assert run(["reduce-rmis", str(gpath), "-o", str(ipath)]) == 0
     assert time.perf_counter() - t0 < 2.0
+    assert read_json(ipath)["cloud"] is None
     t0 = time.perf_counter()
-    assert verify_rmis(tmp_path, read_json(ipath), (4, 5)) == 2
+    assert verify_rmis(tmp_path, read_json(ipath), (4, 5)) == 0
     assert time.perf_counter() - t0 < 2.0
-    assert "counts-only" in assert_usage_error(capsys)
+    out, err = capsys.readouterr()
+    assert COST_LINE.fullmatch(out.splitlines()[0]) and out.endswith("\nPASS\n") and not err
+
+
+def test_faithful_gadget_verifies_at_the_papers_parameters(tmp_path, capsys):
+    # The smallest faithful gadget on a matching graph: ell = 12 > 10 and
+    # nu = 1732 > ell^3, divisible by 4, so n = 20,784 and about 4.3*10^8
+    # records, kept counts-only.  Indices 1..12 pick no matched pair, while
+    # twelve 1s pick w_1 of classes 0 and 1, which are adjacent.
+    gpath, ipath, wpath = (tmp_path / name for name in ("graph.json", "inst.json", "w.json"))
+    assert run(["gen", "matching-graph", "--ell", "12", "--nu", "1732", "-o", str(gpath)]) == 0
+    assert run(["reduce-rmis", str(gpath), "--faithful", "-o", str(ipath)]) == 0
+    assert read_json(ipath)["cloud"] is None
+    for indices, code in ((list(range(1, 13)), 0), ([1] * 12, 1)):
+        wpath.write_text(json.dumps({"kind": "selection", "indices": indices}))
+        t0 = time.perf_counter()
+        assert run(["verify", str(ipath), str(wpath)]) == code
+        assert time.perf_counter() - t0 < 2.0
+        line = capsys.readouterr().out.splitlines()[0]
+        verdict, cost, budget = COST_LINE.fullmatch(line).groups()
+        assert verdict == ("PASS" if code == 0 else "FAIL")
+        assert (int(cost) <= int(budget)) == (code == 0)
 
 
 def json_paths(doc, prefix=()):

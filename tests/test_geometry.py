@@ -27,16 +27,13 @@ from flatcover.generators import (
     random_exact_cloud,
 )
 from flatcover.reductions import (
-    AxisLine,
     desanitize_multiset,
     ds_to_hyperplane_cover,
-    exact_cloud_cost,
     rmis_to_line_clustering,
 )
 from oracles import (
     canonicalize_flat,
     dist2_point_flat,
-    fraction_cloud_cost,
     fraction_covers,
     integer_plane,
     path_graph,
@@ -385,8 +382,3 @@ def test_fraction_clouds_are_canonical_and_exact(drawn, data):
         lambda cs: integer_plane((cs[0], 1) + tuple(cs[1:])),
         st.lists(RATIONALS, min_size=dim, max_size=dim)), max_size=2))
     assert verify_cover(cloud, planes) == fraction_covers(cloud, planes)
-    if dim == 2:
-        lines = [AxisLine(axis, c) for axis, c in data.draw(st.lists(
-            st.tuples(st.sampled_from("hv"), st.sampled_from(firsts) | RATIONALS),
-            min_size=1, max_size=4))]
-        assert exact_cloud_cost(cloud, lines) == fraction_cloud_cost(cloud, lines)
